@@ -98,14 +98,12 @@ def _check(entry: CatalogEntry) -> None:
 
 
 @lru_cache(maxsize=1)
-def catalog(verify: bool = True) -> tuple[CatalogEntry, ...]:
-    """All bundled maps; with ``verify`` each is re-checked against its
-    expected profile before being returned."""
+def catalog() -> tuple[CatalogEntry, ...]:
+    """All bundled maps, each re-checked against its expected profile."""
     entries = []
     for name, note, expected in _ENTRIES:
         entry = CatalogEntry(name=name, map=_load(name), note=note, expected=expected)
-        if verify:
-            _check(entry)
+        _check(entry)
         entries.append(entry)
     return tuple(entries)
 

@@ -15,6 +15,7 @@ from . import census, transforms
 from .catalog import CatalogError, catalog, catalog_map
 from .core import (
     FaceSequence,
+    NotTriangulationError,
     PolyhedralMap,
     is_d_covered,
     semi_equivelar_type,
@@ -22,7 +23,7 @@ from .core import (
     validate,
 )
 from .isomorphism import automorphism_group, g_t_graph, isomorphism
-from .mapio import MapFormatError, map_to_json, serialize_map
+from .mapio import MapFormatError, load_map, map_to_json, serialize_map
 
 USAGE_ERROR = 2
 NEGATIVE = 1
@@ -33,17 +34,11 @@ def _fail_usage(message: str) -> int:
     return USAGE_ERROR
 
 
-def _read_map(path: str, dedupe: bool = False):
-    if path.lower() in {e.name.lower() for e in catalog()}:
-        return catalog_map(path)
-    from pathlib import Path
-
-    from .mapio import map_from_json, parse_map
-
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return map_from_json(text)
-    return parse_map(text, dedupe=dedupe)
+def _map_arg(token: str, dedupe: bool = False) -> PolyhedralMap:
+    """A catalog name, or else the path of a map file."""
+    if token.lower() in {e.name.lower() for e in catalog()}:
+        return catalog_map(token)
+    return load_map(token, dedupe=dedupe)
 
 
 def _emit_map(m: PolyhedralMap, fmt: str, provenance: dict | None = None) -> None:
@@ -76,7 +71,7 @@ def _spec_to_json(spec: transforms.CylinderSpec) -> dict:
 
 
 def cmd_validate(args) -> int:
-    m = _read_map(args.map, dedupe=args.dedupe)
+    m = _map_arg(args.map, dedupe=args.dedupe)
     report = validate(m)
     payload = {
         "map": m.name,
@@ -91,7 +86,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    m = _read_map(args.map, dedupe=args.dedupe)
+    m = _map_arg(args.map, dedupe=args.dedupe)
     report = validate(m)
     if not report.ok:
         _emit({"map": m.name, "valid": False}, args.format,
@@ -114,8 +109,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    m1 = _read_map(args.map1)
-    m2 = _read_map(args.map2)
+    m1 = _map_arg(args.map1)
+    m2 = _map_arg(args.map2)
     witness = isomorphism(m1, m2)
     payload = {
         "map1": m1.name,
@@ -129,7 +124,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    m = _read_map(args.map)
+    m = _map_arg(args.map)
     group = automorphism_group(m)
     payload = {
         "map": m.name,
@@ -144,7 +139,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_gt(args) -> int:
-    m = _read_map(args.map)
+    m = _map_arg(args.map)
     graph = g_t_graph(m, args.t, sets=args.sets)
     edges = [list(e) for e in graph.sorted_edges()]
     payload = {"map": m.name, "t": args.t, "edge_count": graph.edge_count,
@@ -179,7 +174,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    m = _read_map(args.map)
+    m = _map_arg(args.map)
     try:
         cover, witness = transforms.double_cover(m)
     except transforms.TransformError as exc:
@@ -196,7 +191,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_stack(args) -> int:
-    m = _read_map(args.map)
+    m = _map_arg(args.map)
     stacked = transforms.stack_faces(m)
     _emit_map(stacked, args.format, {"operation": "stack_faces", "base": m.name})
     return 0
@@ -214,8 +209,8 @@ def _parse_faces_arg(text: str):
 
 
 def cmd_cylinder(args) -> int:
-    m1 = _read_map(args.map)
-    m2 = _read_map(args.map2) if args.map2 else None
+    m1 = _map_arg(args.map)
+    m2 = _map_arg(args.map2) if args.map2 else None
     face_a, face_b = _parse_faces_arg(args.faces)
     spec = transforms.CylinderSpec(kind=args.kind, face_a=face_a, face_b=face_b,
                                    offset=args.offset, reflect=args.reflect)
@@ -238,7 +233,7 @@ def cmd_cylinder_search(args) -> int:
         seq = FaceSequence.from_string(args.type)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    bases = [_read_map(tok) for tok in args.bases.split(",")]
+    bases = [_map_arg(tok) for tok in args.bases.split(",")]
     maps, notes, stats = transforms.cylinder_search(
         bases, seq, args.chi, max_candidates=args.max_candidates, jobs=args.jobs)
     stats_payload = {
@@ -300,10 +295,10 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_dcheck(args) -> int:
-    m = _read_map(args.map)
+    m = _map_arg(args.map)
     try:
         ok = is_d_covered(m, args.d)
-    except Exception as exc:
+    except NotTriangulationError as exc:
         _emit({"error": str(exc)}, args.format, f"refused: {exc}")
         return NEGATIVE
     _emit({"map": m.name, "d": args.d, "d_covered": ok}, args.format,
@@ -350,10 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--max-nodes", type=int, default=None,
                    help="node budget; partial coverage is reported in stats")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for symmetry with cylinder-search (search is fast)")
-    p.add_argument("--stats", action="store_true",
-                   help="stats are always printed; kept for compatibility")
 
     p = add("cover", cmd_cover, "orientation double cover")
     p.add_argument("map")
@@ -395,7 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MapFormatError, FileNotFoundError, CatalogError, KeyError, ValueError) as exc:
+    except (MapFormatError, OSError, CatalogError, ValueError) as exc:
         return _fail_usage(str(exc))
 
 

@@ -4,6 +4,11 @@ A map is a finite collection of polygonal faces (cyclic vertex sequences)
 whose pairwise intersections are empty, a single vertex, or a single edge,
 and whose vertex links are single closed cycles.  Every operation here is a
 pure function over immutable :class:`PolyhedralMap` instances.
+
+The flag system (:func:`flags`) encodes a closed map as three involutions
+on its (vertex, edge, face) flags.  Link checks, orientability, the
+orientation double cover and canonical forms are all read off it, and
+:func:`components` is the one union-find for every connectivity question.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, combinations
 
 Face = tuple[int, ...]
 Edge = tuple[int, int]
@@ -144,6 +150,61 @@ class PolyhedralMap:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<PolyhedralMap{tag} n={self.n} faces={len(self.faces)}>"
+
+
+# ---------------------------------------------------------------------------
+# Flags and components
+# ---------------------------------------------------------------------------
+
+def flags(m: PolyhedralMap) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The flag involutions ``s0, s1, s2`` and the vertex of every flag.
+
+    A flag is a mutually incident (vertex, edge, face) triple; ``s0``,
+    ``s1`` and ``s2`` swap its vertex, edge and face respectively.  Faces
+    contribute flags in order: flag ``b + 2*i`` of the face whose flags
+    start at ``b`` sits at boundary position ``i`` and takes the edge to the
+    next vertex, flag ``b + 2*i + 1`` the edge to the previous one.  A flag
+    whose edge does not lie in exactly two faces is fixed by ``s2``.
+    """
+    s0: list[int] = []
+    s1: list[int] = []
+    fv: list[int] = []
+    halves: dict[tuple[int, int], list[int]] = {}  # (vertex, far end of edge)
+    for face in m.faces:
+        k = len(face)
+        b = len(fv)
+        for i, v in enumerate(face):
+            x = b + 2 * i
+            fv += (v, v)
+            s1 += (x + 1, x)
+            s0 += (b + 2 * ((i + 1) % k) + 1, b + 2 * ((i - 1) % k))
+            halves.setdefault((v, face[(i + 1) % k]), []).append(x)
+            halves.setdefault((v, face[i - 1]), []).append(x + 1)
+    s2 = list(range(len(fv)))
+    for pair in halves.values():
+        if len(pair) == 2:
+            x, y = pair
+            s2[x], s2[y] = y, x
+    return s0, s1, s2, fv
+
+
+def components(size: int, pairs) -> list[int]:
+    """Union-find over ``0..size-1`` joined by ``pairs``: each element's
+    label is the least element of its component."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    return [find(x) for x in range(size)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,37 +403,40 @@ class VertexLink:
 
 
 def vertex_link(m: PolyhedralMap, v: int) -> VertexLink:
-    """Cyclic face arrangement around ``v`` (map must be valid at ``v``)."""
+    """Cyclic face arrangement around ``v``.
+
+    Raises :class:`KeyError` for a vertex outside ``0..n-1`` and
+    :class:`ValueError` unless the map is valid at ``v``: the faces at
+    ``v`` repeat no vertex and close into a single cycle around it.
+    """
     if not 0 <= v < m.n:
         raise KeyError(f"vertex {v} not in map with n={m.n}")
-    paths: list[Face] = []
+    paths: dict[int, Face] = {}
     for fi in m.vertex_faces[v]:
         face = m.faces[fi]
+        if len(face) < 3 or len(set(face)) != len(face):
+            raise ValueError(f"face #{fi} {face} at vertex {v} is not a polygon")
         i = face.index(v)
-        paths.append(face[i + 1:] + face[:i])
+        paths[fi] = face[i + 1:] + face[:i]
     if not paths:
         raise ValueError(f"vertex {v} lies on no face")
-    # Walk the link: corner q follows corner p when q starts at p's last
-    # vertex (they share the edge from v to that vertex).  In a valid map
-    # each endpoint belongs to exactly two corners.
-    by_endpoint: dict[int, list[tuple[int, bool]]] = {}
-    for k, p in enumerate(paths):
-        by_endpoint.setdefault(p[0], []).append((k, False))
-        by_endpoint.setdefault(p[-1], []).append((k, True))
-    start = min(range(len(paths)), key=lambda k: paths[k])
-    chain: list[Face] = [paths[start]]
-    used = {start}
-    while len(used) < len(paths):
-        tail = chain[-1][-1]
-        step = [(k, rev) for k, rev in by_endpoint.get(tail, ()) if k not in used]
-        if len(step) != 1:
+    # The s1/s2 walk around v: cross each corner to its far edge (s1), then
+    # that edge to the other face on it (s2), until the walk is back.
+    start = fi = min(paths, key=paths.get)
+    corners = [paths[start]]
+    while True:
+        w = corners[-1][-1]
+        pair = m.edge_faces[oriented_edge(v, w)]
+        if len(pair) != 2:
             raise ValueError(f"link of vertex {v} is not a single closed cycle")
-        k, rev = step[0]
-        used.add(k)
-        chain.append(paths[k][::-1] if rev else paths[k])
-    if chain[-1][-1] != chain[0][0]:
+        fi = pair[1] if pair[0] == fi else pair[0]
+        if fi == start:
+            break
+        path = paths[fi]
+        corners.append(path if path[0] == w else path[::-1])
+    if len(corners) != len(paths):
         raise ValueError(f"link of vertex {v} is not a single closed cycle")
-    return VertexLink.from_corners(v, chain)
+    return VertexLink.from_corners(v, corners)
 
 
 def face_sequence(m: PolyhedralMap, v: int) -> FaceSequence:
@@ -489,119 +553,75 @@ def validate(m: PolyhedralMap) -> ValidationReport:
         else:
             seen[key] = i
 
-    edge_faces: dict[Edge, list[int]] = {}
-    for i, face in wellformed:
-        for e in face_edges(face):
-            edge_faces.setdefault(e, []).append(i)
-    for e, fs in sorted(edge_faces.items()):
+    # The checks below run on the well-formed faces; ``index`` maps their
+    # positions back to face numbers of ``m``.
+    index = [i for i, _ in wellformed]
+    good = m if len(wellformed) == len(m.faces) else PolyhedralMap(
+        [face for _, face in wellformed], n=m.n)
+    bad_vertices = set()
+    for e, fs in sorted(good.edge_faces.items()):
         if len(fs) != 2:
+            bad_vertices.update(e)
+            where = tuple(index[j] for j in fs)
             out.append(Violation(
                 "edge-degree",
-                f"edge {e} lies in {len(fs)} face(s) {tuple(fs)}, expected 2",
-                (e, tuple(fs)),
+                f"edge {e} lies in {len(fs)} face(s) {where}, expected 2",
+                (e, where),
             ))
 
-    # Any two faces meet in nothing, one vertex, or one full edge.
-    for a in range(len(wellformed)):
-        ia, fa = wellformed[a]
-        sa = set(fa)
-        ea = set(face_edges(fa))
-        for b in range(a + 1, len(wellformed)):
-            ib, fb = wellformed[b]
-            shared = sa & set(fb)
-            if len(shared) < 2:
-                continue
-            if len(shared) == 2:
-                e = oriented_edge(*shared)
-                if e in ea and e in set(face_edges(fb)):
-                    continue
-                out.append(Violation(
-                    "face-intersection",
-                    f"faces #{ia} and #{ib} share {sorted(shared)} which is not an edge of both",
-                    (ia, ib, tuple(sorted(shared))),
-                ))
-            else:
-                out.append(Violation(
-                    "face-intersection",
-                    f"faces #{ia} and #{ib} share {len(shared)} vertices {sorted(shared)}",
-                    (ia, ib, tuple(sorted(shared))),
-                ))
+    # Any two faces meet in nothing, one vertex, or one full edge: only
+    # faces sharing a vertex need a look, and faces on a common edge may
+    # share its two ends.
+    on_edge = {pair for fs in good.edge_faces.values() for pair in combinations(fs, 2)}
+    shared = Counter(chain.from_iterable(
+        combinations(fs, 2) for fs in good.vertex_faces.values()))
+    for (a, b), count in sorted(shared.items()):
+        if count < 2 or count == 2 and (a, b) in on_edge:
+            continue
+        ia, ib = index[a], index[b]
+        common = tuple(sorted(set(good.faces[a]) & set(good.faces[b])))
+        if count == 2:
+            message = f"faces #{ia} and #{ib} share {list(common)} which is not an edge of both"
+        else:
+            message = f"faces #{ia} and #{ib} share {count} vertices {list(common)}"
+        out.append(Violation("face-intersection", message, (ia, ib, common)))
 
-    # Link condition: the faces at each vertex chain into one closed cycle
-    # of length >= 3.  Only meaningful where the local edge counts are 2.
-    vertex_faces: dict[int, list[Face]] = {v: [] for v in range(m.n)}
-    for _, face in wellformed:
-        for v in set(face):
-            vertex_faces[v].append(face)
+    # Link condition: the flags at each vertex form one <s1, s2> orbit, a
+    # single closed cycle of faces.  Only defined where the local edges lie
+    # in two faces each.
+    _, s1, s2, fv = flags(good)
+    a_flag_at = {v: x for x, v in enumerate(fv)}
     for v in range(m.n):
-        faces_here = vertex_faces[v]
-        if not faces_here:
+        count = len(good.vertex_faces[v])
+        if count == 0:
             out.append(Violation("link", f"vertex {v} lies on no face", (v,)))
             continue
-        if len(faces_here) < 3:
+        if count < 3:
             out.append(Violation(
-                "link", f"vertex {v} lies on only {len(faces_here)} face(s), need >= 3", (v,),
+                "link", f"vertex {v} lies on only {count} face(s), need >= 3", (v,),
             ))
             continue
-        local_edges = [e for e in edge_faces if v in e]
-        if any(len(edge_faces[e]) != 2 for e in local_edges):
-            continue  # already reported as edge-degree; link walk undefined
-        corners = []
-        for face in faces_here:
-            i = face.index(v)
-            path = face[i + 1:] + face[:i]
-            corners.append((path[0], path[-1]))
-        adj: dict[int, int] = {}
-        for x, y in corners:
-            adj[x] = adj.get(x, 0) + 1
-            adj[y] = adj.get(y, 0) + 1
-        if any(c != 2 for c in adj.values()) or len(adj) != len(corners):
-            out.append(Violation(
-                "link", f"faces around vertex {v} do not close into a single cycle", (v,),
-            ))
-            continue
-        # Degree-2 everywhere: a disjoint union of cycles; require exactly one.
-        start = corners[0][0]
-        reached = {start}
-        frontier = [start]
-        touch: dict[int, list[int]] = {}
-        for x, y in corners:
-            touch.setdefault(x, []).append(y)
-            touch.setdefault(y, []).append(x)
-        while frontier:
-            cur = frontier.pop()
-            for nxt in touch[cur]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        if len(reached) != len(adj):
+        if v in bad_vertices:
+            continue  # already reported as edge-degree; the orbit is undefined
+        start = a_flag_at[v]
+        x, orbit = s2[s1[start]], 2
+        while x != start:
+            x, orbit = s2[s1[x]], orbit + 2
+        if orbit != 2 * count:
             out.append(Violation(
                 "link", f"link of vertex {v} splits into several cycles", (v,),
             ))
 
     # Connectivity of the edge graph.
-    if edge_faces:
-        verts = set()
-        for a, b in edge_faces:
-            verts.add(a)
-            verts.add(b)
-        adj2: dict[int, list[int]] = {v: [] for v in verts}
-        for a, b in edge_faces:
-            adj2[a].append(b)
-            adj2[b].append(a)
-        start = next(iter(verts))
-        reached = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj2[cur]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        if len(reached) != len(verts):
+    if good.edge_faces:
+        verts = {v for e in good.edge_faces for v in e}
+        start = min(verts)
+        label = components(m.n, good.edge_faces)
+        unreachable = sum(1 for v in verts if label[v] != start)
+        if unreachable:
             out.append(Violation(
                 "connectivity",
-                f"edge graph has {len(verts) - len(reached)} vertices unreachable from {start}",
+                f"edge graph has {unreachable} vertices unreachable from {start}",
             ))
 
     return ValidationReport(tuple(out))
@@ -631,46 +651,30 @@ class SurfaceProfile:
 
 
 def is_orientable(m: PolyhedralMap) -> bool:
-    """Try to direct every face boundary so each edge is used once each way."""
-    flips = _orientation_flips(m)
-    return flips is not None
+    """Whether the flag graph 2-colours with every move changing colour.
 
-
-def _orientation_flips(m: PolyhedralMap) -> list[int] | None:
-    """Per-face flip bits making the orientations coherent, or None.
-
-    Two faces sharing an edge are coherent when their boundary cycles
-    traverse the shared edge in opposite directions.
+    The flags of one colour then orient every face so that each edge is
+    used once in each direction.  A flag fixed by ``s2`` (an edge not in
+    two faces) cannot change colour, so such maps are not orientable.
     """
-    directed: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for i, face in enumerate(m.faces):
-        k = len(face)
-        for j in range(k):
-            a, b = face[j], face[(j + 1) % k]
-            key = (a, b) if a < b else (b, a)
-            directed.setdefault(key, []).append((i, a < b))
-    flip = [-1] * len(m.faces)
-    for start in range(len(m.faces)):
-        if flip[start] != -1:
+    moves = flags(m)[:3]
+    colour = [-1] * len(moves[0])
+    for root in range(len(colour)):
+        if colour[root] >= 0:
             continue
-        flip[start] = 0
-        stack = [start]
+        colour[root] = 0
+        stack = [root]
         while stack:
-            cur = stack.pop()
-            for e in face_edges(m.faces[cur]):
-                uses = directed.get(e, [])
-                if len(uses) != 2:
-                    return None
-                (f1, d1), (f2, d2) = uses
-                other, do, dc = (f2, d2, d1) if f1 == cur else (f1, d1, d2)
-                # Same traversal direction forces opposite flips.
-                want = flip[cur] ^ (1 if do == dc else 0)
-                if flip[other] == -1:
-                    flip[other] = want
-                    stack.append(other)
-                elif flip[other] != want:
-                    return None
-    return flip
+            x = stack.pop()
+            other = 1 - colour[x]
+            for s in moves:
+                y = s[x]
+                if colour[y] < 0:
+                    colour[y] = other
+                    stack.append(y)
+                elif colour[y] != other:
+                    return False
+    return True
 
 
 def surface_profile(m: PolyhedralMap) -> SurfaceProfile:

@@ -1,16 +1,17 @@
 """Relabeling-grade machinery: canonical forms, automorphisms, G_t graphs.
 
-The canonical form is computed by flag-rooted traversal.  A flag is a
-mutually incident (vertex, edge, face) triple; every flag admits three
-moves (swap the vertex, the edge, or the face while keeping the other
-two).  A breadth-first walk of the flag graph from a fixed root visits
-every flag of a valid map in an order that depends only on the structure,
-so the walk's transition code is a relabeling invariant.  The canonical
-form is the relabeled, sorted face list read off a root with the
-lexicographically least code; two maps get equal forms iff some flag of
-one walks exactly like some flag of the other, which is precisely an
-isomorphism.  Roots with minimal code are in bijection with the
-automorphism group (an automorphism fixing a flag is the identity).
+The canonical form is computed by flag-rooted traversal of the flag
+system built in :func:`semap.core.flags`.  A flag is a mutually incident
+(vertex, edge, face) triple; every flag admits three moves (swap the
+vertex, the edge, or the face while keeping the other two).  A
+breadth-first walk of the flag graph from a fixed root visits every flag
+of a valid map in an order that depends only on the structure, so the
+walk's transition code is a relabeling invariant.  The canonical form is
+the relabeled, sorted face list read off a root with the lexicographically
+least code; two maps get equal forms iff some flag of one walks exactly
+like some flag of the other, which is precisely an isomorphism.  Roots
+with minimal code are in bijection with the automorphism group (an
+automorphism fixing a flag is the identity).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Edge, Face, PolyhedralMap, normalize_face, oriented_edge
+from .core import Edge, Face, PolyhedralMap, components, flags, normalize_face, oriented_edge
 
 
 # ---------------------------------------------------------------------------
@@ -55,26 +56,12 @@ class SimpleGraph:
 
     def components(self) -> list[tuple[frozenset[int], frozenset[Edge]]]:
         """Connected components of the edge support (isolated vertices omitted)."""
-        adj: dict[int, set[int]] = {}
+        label = components(self.n, self.edges)
+        verts: dict[int, set[int]] = {}
         for a, b in self.edges:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        out = []
-        left = set(adj)
-        while left:
-            seed = left.pop()
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                cur = frontier.pop()
-                for nxt in adj[cur]:
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        frontier.append(nxt)
-            left -= comp
-            es = frozenset(e for e in self.edges if e[0] in comp)
-            out.append((frozenset(comp), es))
-        return out
+            verts.setdefault(label[a], set()).update((a, b))
+        return [(frozenset(vs), frozenset(e for e in self.edges if label[e[0]] == root))
+                for root, vs in verts.items()]
 
     def unlabeled_key(self, max_component: int = 9):
         """Isomorphism-class key: component shapes by brute force, plus n.
@@ -143,53 +130,8 @@ def g_t_graph(m: PolyhedralMap, t: int, sets: str = "link") -> SimpleGraph:
 
 
 # ---------------------------------------------------------------------------
-# Flag system
+# Canonical forms
 # ---------------------------------------------------------------------------
-
-def _flag_system(m: PolyhedralMap):
-    """Build the three flag moves as flat arrays.
-
-    Flag 2*i+0 at face position i uses the edge toward the next boundary
-    vertex, flag 2*i+1 the edge toward the previous one.  Requires every
-    edge to lie in exactly two faces (i.e. a valid map).
-    """
-    base = []
-    acc = 0
-    for f in m.faces:
-        base.append(acc)
-        acc += 2 * len(f)
-    nflags = acc
-    s0 = [0] * nflags
-    s1 = [0] * nflags
-    s2 = [0] * nflags
-    fv = [0] * nflags
-    flen = [0] * nflags
-    half: dict[tuple[int, Edge], int] = {}
-    for fi, f in enumerate(m.faces):
-        k = len(f)
-        b = base[fi]
-        for i in range(k):
-            x0 = b + 2 * i
-            x1 = x0 + 1
-            v = f[i]
-            fv[x0] = fv[x1] = v
-            flen[x0] = flen[x1] = k
-            s1[x0] = x1
-            s1[x1] = x0
-            s0[x0] = b + 2 * ((i + 1) % k) + 1
-            s0[x1] = b + 2 * ((i - 1) % k)
-            for x, w in ((x0, f[(i + 1) % k]), (x1, f[(i - 1) % k])):
-                key = (v, oriented_edge(v, w))
-                mate = half.pop(key, None)
-                if mate is None:
-                    half[key] = x
-                else:
-                    s2[x] = mate
-                    s2[mate] = x
-    if half:
-        raise ValueError("canonical form needs a closed map (some edge is not in 2 faces)")
-    return s0, s1, s2, fv, flen, nflags
-
 
 def _bfs_code(root: int, s0, s1, s2, nflags: int, best):
     """Breadth-first transition code from ``root``; early-abort against ``best``.
@@ -266,31 +208,38 @@ def _vertex_signature(m: PolyhedralMap) -> dict[int, tuple]:
     return sig
 
 
-def _root_flags(m: PolyhedralMap, fv, flen, nflags: int) -> list[int]:
+def _root_flags(m: PolyhedralMap, fv) -> list[int]:
     """Flags to root the traversal at: the rarest face size, then the
     rarest vertex fingerprint on such faces.  Both filters are invariant
     under relabeling, so isomorphic maps restrict to corresponding flag
     sets, and the automorphism group still acts on the result (its minimal
     flags remain a single free orbit)."""
+    flen = [len(f) for f in m.faces for _ in range(2 * len(f))]
     face_counts = Counter(flen)
     sig = _vertex_signature(m)
     sig_counts = Counter(sig.values())
     key = [
         (face_counts[flen[x]], flen[x], sig_counts[sig[fv[x]]], sig[fv[x]])
-        for x in range(nflags)
+        for x in range(len(fv))
     ]
     least = min(key)
-    return [x for x in range(nflags) if key[x] == least]
+    return [x for x, k in enumerate(key) if k == least]
 
 
 def _compute_canonical(m: PolyhedralMap) -> CanonData:
-    s0, s1, s2, fv, flen, nflags = _flag_system(m)
+    s0, s1, s2, fv = flags(m)
+    nflags = len(fv)
+    if (not fv or max(fv) >= m.n
+            or any(len(fs) != 2 or fs[0] == fs[1] for fs in m.edge_faces.values())):
+        raise ValueError("canonical form needs a closed map (some edge is not in 2 faces)")
     best = None
     best_queues: list[list[int]] = []
-    for root in _root_flags(m, fv, flen, nflags):
+    for root in _root_flags(m, fv):
         verdict, code, queue = _bfs_code(root, s0, s1, s2, nflags, best)
         if verdict == 1:
             continue
+        if len(queue) < nflags:
+            raise ValueError("canonical form needs a connected map")
         if verdict == -1:
             best = code
             best_queues = [queue]
@@ -299,6 +248,8 @@ def _compute_canonical(m: PolyhedralMap) -> CanonData:
     labelings = []
     for q in best_queues:
         lab = _labeling(q, fv)
+        if len(lab) < m.n:
+            raise ValueError("canonical form needs every vertex on a face")
         labelings.append(tuple(lab[v] for v in range(m.n)))
     lab0 = labelings[0]
     faces = tuple(sorted(normalize_face(tuple(lab0[v] for v in f)) for f in m.faces))
@@ -315,7 +266,12 @@ def _canonical_cached(m: PolyhedralMap) -> CanonData:
 
 
 def canonical_form(m: PolyhedralMap) -> bytes:
-    """Byte-comparable encoding equal for two maps iff they are isomorphic."""
+    """Byte-comparable encoding equal for two maps iff they are isomorphic.
+
+    Raises :class:`ValueError` unless the map is closed and connected, with
+    every vertex on a face; :func:`automorphism_group` and
+    :func:`is_vertex_transitive` share this precondition.
+    """
     return _canonical_cached(m).form
 
 
@@ -406,7 +362,10 @@ def automorphism_group(m: PolyhedralMap) -> AutomorphismGroup:
     if len(elements) != len(data.labelings):
         raise RuntimeError("internal error: duplicate automorphisms from distinct minimal flags")
 
-    orbits = _orbits(elements, m.n)
+    label = components(m.n, ((v, g[v]) for g in elements for v in range(m.n)))
+    orbits: dict[int, list[int]] = {}
+    for v in range(m.n):
+        orbits.setdefault(label[v], []).append(v)
     gens: list[tuple[int, ...]] = []
     have = 1
     for g in elements:
@@ -422,28 +381,8 @@ def automorphism_group(m: PolyhedralMap) -> AutomorphismGroup:
         elements=tuple(elements),
         generators=tuple(gens),
         order=len(elements),
-        orbits=orbits,
+        orbits=tuple(tuple(o) for o in orbits.values()),
     )
-
-
-def _orbits(elements, n: int) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in elements:
-        for v in range(n):
-            a, b = find(v), find(perm[v])
-            if a != b:
-                parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
 def is_vertex_transitive(m: PolyhedralMap) -> bool:

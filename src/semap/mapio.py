@@ -114,17 +114,21 @@ def map_from_json(obj) -> PolyhedralMap:
         faces = obj["faces"]
     except (TypeError, KeyError) as exc:
         raise MapFormatError(f"JSON map needs name/vertices/faces: {exc}") from exc
-    if sorted(vertices) != list(range(len(vertices))):
-        raise MapFormatError("JSON 'vertices' must be the labels 0..n-1")
-    return PolyhedralMap([tuple(f) for f in faces], n=len(vertices), name=str(name))
+    try:
+        if sorted(vertices) != list(range(len(vertices))):
+            raise MapFormatError("JSON 'vertices' must be the labels 0..n-1")
+        return PolyhedralMap([tuple(f) for f in faces], n=len(vertices), name=str(name))
+    except TypeError as exc:
+        raise MapFormatError(f"JSON map has a field of the wrong type: {exc}") from exc
 
 
-def load_map(path) -> PolyhedralMap:
-    """Read a map from a ``.map`` text file or a ``.json`` mirror file."""
+def load_map(path, dedupe: bool = False) -> PolyhedralMap:
+    """Read a map from a ``.map`` text file or a ``.json`` mirror file;
+    ``dedupe`` is passed on to :func:`parse_map`."""
     from pathlib import Path
 
     p = Path(path)
     text = p.read_text()
     if p.suffix == ".json" or text.lstrip().startswith("{"):
         return map_from_json(text)
-    return parse_map(text)
+    return parse_map(text, dedupe=dedupe)

@@ -13,6 +13,8 @@ from .core import (
     FlatTypeError,
     ImpossibleTypeError,
     PolyhedralMap,
+    components,
+    flags,
     normalize_face,
     same_face,
     sem_vertex_count,
@@ -42,10 +44,10 @@ class CoveringWitness:
 def double_cover(m: PolyhedralMap) -> tuple[PolyhedralMap, CoveringWitness]:
     """Orientation double cover of a non-orientable map.
 
-    Takes two oppositely oriented copies of every face and crosses each
-    edge flipping the copy exactly when the stored boundary orientations
-    fail to be coherent.  Corners then glue into 2V cover vertices; the
-    result is orientable and connected, with every count doubled.
+    The cover's flags are the flags of ``m`` on two sheets, and every flag
+    move changes sheet.  Each face lifts to two oppositely oriented copies
+    and each vertex to the two <s1, s2> orbits over it; the result is
+    orientable and connected, with every count doubled.
     """
     report = validate(m)
     if not report.ok:
@@ -56,74 +58,27 @@ def double_cover(m: PolyhedralMap) -> tuple[PolyhedralMap, CoveringWitness]:
             "disjoint union of two copies, not a map"
         )
 
-    # Directed use of each edge by each face, to detect coherence.
-    use: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for fi, face in enumerate(m.faces):
-        k = len(face)
-        for i in range(k):
-            a, b = face[i], face[(i + 1) % k]
-            key = (a, b) if a < b else (b, a)
-            use.setdefault(key, []).append((fi, a < b))
-
-    # Union-find over (face, position, sheet) corners.
-    index: dict[tuple[int, int, int], int] = {}
-    for fi, face in enumerate(m.faces):
-        for i in range(len(face)):
-            for s in (0, 1):
-                index[(fi, i, s)] = len(index)
-    parent = list(range(len(index)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pos_of = {
-        (fi, v): m.faces[fi].index(v)
-        for fi, face in enumerate(m.faces)
-        for v in face
-    }
-    for (a, b), uses in use.items():
-        (f1, d1), (f2, d2) = uses
-        flip = 1 if d1 == d2 else 0
-        for v in (a, b):
-            i1, i2 = pos_of[(f1, v)], pos_of[(f2, v)]
-            for s in (0, 1):
-                x, y = find(index[(f1, i1, s)]), find(index[(f2, i2, s ^ flip)])
-                if x != y:
-                    parent[x] = y
-
-    # Cover vertices: corner classes, numbered deterministically per base vertex.
-    classes: dict[int, list[tuple[int, int, int]]] = {}
-    for corner, idx in index.items():
-        classes.setdefault(find(idx), []).append(corner)
-    keyed = sorted(
-        (m.faces[min(members)[0]][min(members)[1]], min(members), members)
-        for members in classes.values()
-    )
-    cover_id: dict[int, int] = {}
-    vertex_map: dict[int, int] = {}
-    for new, (base_vertex, _, members) in enumerate(keyed):
-        vertex_map[new] = base_vertex
-        for corner in members:
-            cover_id[index[corner]] = new
-    lifts: dict[int, int] = {}
-    for b in vertex_map.values():
-        lifts[b] = lifts.get(b, 0) + 1
-    if any(lifts.get(v, 0) != 2 for v in range(m.n)):
-        raise TransformError("internal error: some vertex did not lift to 2 copies")
-
+    # Flag x on sheet t is 2*x + t.  Cover vertices are numbered by base
+    # vertex, then by least flag.
+    _, s1, s2, fv = flags(m)
+    orbit = components(2 * len(fv), (
+        (2 * x + t, 2 * s[x] + 1 - t) for s in (s1, s2) for x in range(len(fv)) for t in (0, 1)
+    ))
+    roots = sorted(set(orbit), key=lambda r: (fv[r // 2], r))
+    cover_id = {r: i for i, r in enumerate(roots)}
     faces: list[Face] = []
-    for fi, face in enumerate(m.faces):
-        for s in (0, 1):
-            lifted = tuple(cover_id[find(index[(fi, i, s)])] for i in range(len(face)))
-            faces.append(lifted[::-1] if s else lifted)
+    b = 0
+    for face in m.faces:
+        for t in (0, 1):
+            lifted = tuple(cover_id[orbit[2 * (b + 2 * i) + t]] for i in range(len(face)))
+            faces.append(lifted[::-1] if t else lifted)
+        b += 2 * len(face)
     cover = PolyhedralMap(faces, n=2 * m.n, name=f"{m.name}^2" if m.name else "")
 
     report = validate(cover)
     if not report.ok:
         raise TransformError(f"internal error: double cover came out invalid: {report}")
+    vertex_map = {i: fv[r // 2] for i, r in enumerate(roots)}
     return cover, CoveringWitness(vertex_map=vertex_map, fold=2)
 
 
@@ -330,26 +285,6 @@ def _triangle_partitions(m: PolyhedralMap) -> list[tuple[Face, ...]]:
     return out
 
 
-def _bundle_connects(pairs, component_of) -> bool:
-    """Whether the cylinder pairs join all disjoint-union components."""
-    comps = set(component_of.values())
-    if len(comps) <= 1:
-        return True
-    parent = {c: c for c in comps}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for fa, fb in pairs:
-        a, b = find(component_of[normalize_face(fa)]), find(component_of[normalize_face(fb)])
-        if a != b:
-            parent[a] = b
-    return len({find(c) for c in comps}) == 1
-
-
 def _gluings(kind: str) -> list[tuple[int, bool]]:
     size = 4 if kind == "quad" else 3
     return [(o, r) for r in (False, True) for o in range(size)]
@@ -377,12 +312,12 @@ def _search_units(base_maps, target_type, target_chi, kind):
     searches still sample every combination of bases.
     """
     per_task: list[list[tuple]] = []
-    min_n = min(b.n for b in base_maps)
-    max_copies = max(1, sem_target_n(target_type, target_chi) // min_n)
+    target_n = sem_vertex_count(target_type, target_chi)
+    max_copies = max(1, target_n // min(b.n for b in base_maps))
     for count in range(1, max_copies + 1):
         for combo in combinations_with_replacement(range(len(base_maps)), count):
             picked = [base_maps[i] for i in combo]
-            if sum(b.n for b in picked) != sem_target_n(target_type, target_chi):
+            if sum(b.n for b in picked) != target_n:
                 continue
             chi_sum = sum(surface_profile(b).euler_characteristic for b in picked)
             twice = chi_sum - target_chi
@@ -403,10 +338,6 @@ def _search_units(base_maps, target_type, target_chi, kind):
         if not yielded:
             return
         i += 1
-
-
-def sem_target_n(target_type: FaceSequence, target_chi: int) -> int:
-    return sem_vertex_count(target_type, target_chi)
 
 
 def _units_for_multiset(picked, n_cyl, kind):
@@ -435,7 +366,10 @@ def _units_for_multiset(picked, n_cyl, kind):
         for pairing in _perfect_matchings(list(sites)):
             if any(set(a) & set(b) for a, b in pairing):
                 continue
-            if not _bundle_connects(pairing, component_of):
+            joined = components(len(picked), (
+                (component_of[normalize_face(a)], component_of[normalize_face(b)])
+                for a, b in pairing))
+            if any(joined):  # some base is not joined to the first one
                 continue
             units.append((tuple(names), tuple(faces), offset, pairing))
     # Same-component pairs are heavily constrained (their walls tend to hit
@@ -564,7 +498,7 @@ def cylinder_search(
     seen: set[bytes] = set()
 
     try:
-        sem_target_n(target_type, target_chi)
+        sem_vertex_count(target_type, target_chi)
     except (ImpossibleTypeError, FlatTypeError):
         stats.seconds = time.perf_counter() - t0
         return results, notes, stats

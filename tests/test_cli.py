@@ -154,8 +154,9 @@ def test_d_covered_command(capsys, tmp_path, k1):
     assert code == 1  # refused: not a triangulation
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "validate", "no-such-map")[0] == 2
+    assert run(capsys, "validate", str(tmp_path))[0] == 2  # a directory
     assert run(capsys, "enumerate", "--type", "junk", "--chi", "-1")[0] == 2
     assert run(capsys, "cylinder", "K1", "--kind", "quad", "--faces", "zzz")[0] == 2
 

@@ -20,6 +20,7 @@ from semap import (
     validate,
     vertex_link,
 )
+from semap.core import components, flags
 from oracles import (
     brute_force_orientable,
     degree_by_faces,
@@ -155,6 +156,23 @@ def test_orientability_invariant_under_relabeling(all_catalog):
             assert is_orientable(entry.map.relabel(perm)) == want
 
 
+def test_flag_moves_are_involutions_with_one_orbit_per_vertex(all_catalog):
+    for entry in all_catalog:
+        s0, s1, s2, fv = flags(entry.map)
+        every = range(len(fv))
+        for s in (s0, s1, s2):
+            assert all(s[s[x]] == x != s[x] for x in every), entry.name
+        assert all(s0[s2[x]] == s2[s0[x]] for x in every), entry.name
+        orbit = components(len(fv), [(x, s[x]) for s in (s1, s2) for x in every])
+        assert len(set(orbit)) == entry.map.n
+        assert all(fv[x] == fv[orbit[x]] for x in every)
+
+
+def test_components_labels_by_least_member():
+    assert components(6, [(3, 4), (4, 1), (5, 2)]) == [0, 1, 2, 1, 1, 2]
+    assert components(2, []) == [0, 1]
+
+
 # ---------------------------------------------------------------------------
 # vertex links
 # ---------------------------------------------------------------------------
@@ -211,6 +229,15 @@ def test_link_rotation_reflection_identified():
 def test_unknown_vertex_raises(k1):
     with pytest.raises(KeyError):
         vertex_link(k1, 99)
+
+
+def test_link_refuses_faces_that_repeat_a_vertex():
+    # a repeated vertex made a two-corner "link" and a link holding its centre
+    with pytest.raises(ValueError, match="not a polygon"):
+        vertex_link(PolyhedralMap([(0, 3, 2, 3)]), 0)
+    bent = PolyhedralMap([(0, 1, 0, 3), (0, 1, 2), (0, 3, 2)])
+    with pytest.raises(ValueError, match="not a polygon"):
+        vertex_link(bent, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,75 @@
+"""Malformed input: mutated catalog maps never crash the entry points.
+
+``validate`` must report, never raise; the other entry points either
+answer or raise their documented ``ValueError`` (``TransformError`` is
+one).
+"""
+
+from hypothesis import example, given, settings, strategies as st
+
+from semap import (
+    PolyhedralMap,
+    automorphism_group,
+    canonical_form,
+    catalog,
+    catalog_map,
+    double_cover,
+    surface_profile,
+    validate,
+    vertex_link,
+)
+
+MUTATIONS = ("drop", "duplicate", "swap", "out-of-range", "repeat")
+
+
+@st.composite
+def mutated_maps(draw):
+    base = draw(st.sampled_from(catalog())).map
+    faces = [list(f) for f in base.faces]
+    i = 0
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=4)):
+        # Mutations often hit the face the previous one hit: a face
+        # duplicated twice puts its edges in four faces each.
+        if not draw(st.booleans()) or i >= len(faces):
+            i = draw(st.integers(0, len(faces) - 1))
+        face = faces[i]
+        a, b = draw(st.lists(st.integers(0, len(face) - 1), min_size=2, max_size=2,
+                             unique=True))
+        if kind == "drop" and len(faces) > 1:
+            del faces[i]
+        elif kind == "duplicate":
+            faces.append(list(face))
+        elif kind == "swap":
+            face[a], face[b] = face[b], face[a]
+        elif kind == "out-of-range":
+            face[a] = base.n + draw(st.integers(0, 3))
+        elif kind == "repeat":
+            face[a] = face[b]
+    return PolyhedralMap([tuple(f) for f in faces], n=base.n)
+
+
+def duplicated_twice(name: str, index: int) -> PolyhedralMap:
+    m = catalog_map(name)
+    return PolyhedralMap(m.faces + (m.faces[index],) * 2, n=m.n)
+
+
+def answers_or_value_error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError:
+        pass
+
+
+@given(mutated_maps())
+@example(duplicated_twice("K3", 20))  # a quadrangle whose edges lie in 4 faces
+@settings(max_examples=300, deadline=None)
+def test_mutated_maps_are_reported_or_refused(m):
+    report = validate(m)
+    assert all(v.axiom and v.message for v in report)
+    answers_or_value_error(surface_profile, m)
+    answers_or_value_error(canonical_form, m)
+    answers_or_value_error(automorphism_group, m)
+    answers_or_value_error(double_cover, m)
+    for v in range(m.n):
+        answers_or_value_error(vertex_link, m, v)
+

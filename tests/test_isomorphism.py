@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from semap import (
+    PolyhedralMap,
     SimpleGraph,
     are_isomorphic,
     automorphism_group,
@@ -135,6 +136,23 @@ def test_canonical_form_invariant_under_relabeling(all_catalog):
         for _ in range(10):
             relabeled, _ = shuffled(entry.map, rng)
             assert canonical_form(relabeled) == form, entry.name
+
+
+def test_edge_in_four_faces_is_refused_not_a_key_error():
+    # two tetrahedra sharing the edge 0-1: every edge count is even, so the
+    # old pairing of half-edges went through and the walk hit a KeyError
+    m = PolyhedralMap([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+                       (0, 1, 4), (0, 1, 5), (0, 4, 5), (1, 4, 5)])
+    for fn in (canonical_form, automorphism_group, is_vertex_transitive):
+        with pytest.raises(ValueError, match="closed map"):
+            fn(m)
+
+
+def test_canonical_form_refuses_disconnected_maps(tetrahedron):
+    both = PolyhedralMap(tetrahedron.faces + tuple(tuple(v + 4 for v in f)
+                                                   for f in tetrahedron.faces))
+    with pytest.raises(ValueError, match="connected"):
+        canonical_form(both)
 
 
 def test_canonical_forms_separate_k1_k2_k3(k1, k2, k3):

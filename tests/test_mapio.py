@@ -4,6 +4,7 @@ import pytest
 
 from semap import (
     MapFormatError,
+    load_map,
     map_from_json,
     map_to_json,
     parse_map,
@@ -97,6 +98,14 @@ def test_published_n_list_needs_dedupe(n_map):
     assert fixed == n_map
 
 
+def test_load_map_passes_dedupe_on(tmp_path):
+    path = tmp_path / "x.map"
+    path.write_text("map x vertices=3\nf 0 1 2\nf 2 0 1\n")
+    with pytest.raises(MapFormatError, match="duplicates"):
+        load_map(path)
+    assert len(load_map(path, dedupe=True).faces) == 1
+
+
 def test_json_mirror_round_trip(k1):
     obj = map_to_json(k1)
     assert set(obj) == {"name", "vertices", "faces"}
@@ -110,6 +119,8 @@ def test_json_mirror_validates_shape():
         map_from_json({"name": "x", "faces": [[0, 1, 2]]})
     with pytest.raises(MapFormatError):
         map_from_json({"name": "x", "vertices": [1, 2, 3], "faces": []})
+    with pytest.raises(MapFormatError):
+        map_from_json({"name": "x", "vertices": [0, 1, 2], "faces": [[0, 1, None]]})
 
 
 def test_comments_and_blank_lines_ignored():
