@@ -26,7 +26,6 @@ from .core import (
     oriented_edge,
     sem_vertex_count,
     semi_equivelar_type,
-    surface_profile,
     validate,
 )
 from .isomorphism import canonical_form
@@ -83,12 +82,6 @@ class PartialMap:
     @property
     def used_vertices(self) -> list[int]:
         return sorted(self.vertex_faces)
-
-    def fresh_vertex(self) -> int | None:
-        for v in range(self.n):
-            if v not in self.vertex_faces:
-                return v
-        return None
 
     def corners_at(self, v: int) -> list[tuple[int, int]]:
         """Endpoint pairs (neighbors of v) of each committed face at v."""
@@ -416,9 +409,8 @@ def enumerate_sems(seq: FaceSequence, chi: int, seed: str = "link",
         stats.solutions += sub.solutions
         stats.exhausted = stats.exhausted and sub.exhausted
         for m in found:
+            # No chi check: valid maps of one type have chi = n * curvature(type).
             if semi_equivelar_type(m) != seq:
-                continue
-            if surface_profile(m).euler_characteristic != chi:
                 continue
             form = canonical_form(m)
             if form not in seen:

@@ -241,22 +241,18 @@ def cmd_cylinder_search(args) -> int:
         "built": stats.built, "valid": stats.valid, "classes": stats.classes,
         "exhausted": stats.exhausted, "seconds": round(stats.seconds, 3),
     }
+    provenance = [{"bases": list(note.bases), "specs": [_spec_to_json(s) for s in note.specs]}
+                  for note in notes]
     if args.format == "json":
         print(json.dumps({
             "classes": [map_to_json(m) for m in maps],
-            "provenance": [
-                {"bases": list(note.bases),
-                 "specs": [_spec_to_json(s) for s in note.specs]}
-                for note in notes
-            ],
+            "provenance": provenance,
             "stats": stats_payload,
         }, indent=2))
     else:
-        for m, note in zip(maps, notes):
+        for m, note in zip(maps, provenance):
             sys.stdout.write(serialize_map(m))
-            print("# provenance: " + json.dumps(
-                {"bases": list(note.bases),
-                 "specs": [_spec_to_json(s) for s in note.specs]}))
+            print("# provenance: " + json.dumps(note))
             print()
         print("# stats: " + json.dumps(stats_payload))
     return 0

@@ -188,6 +188,21 @@ def flags(m: PolyhedralMap) -> tuple[list[int], list[int], list[int], list[int]]
     return s0, s1, s2, fv
 
 
+def require_closed(m: PolyhedralMap) -> None:
+    """Raise :class:`ValueError` unless ``m`` is closed: it has a face, every
+    face has at least 3 distinct labels below ``n``, and every edge lies in
+    exactly two faces.  Closed maps are the ones :func:`flags` encodes in full."""
+    if not m.faces:
+        raise ValueError("not a closed map: it has no faces")
+    for i, face in enumerate(m.faces):
+        if len(face) < 3 or len(set(face)) != len(face) or max(face) >= m.n:
+            raise ValueError(f"not a closed map: face #{i} {face} is not a polygon "
+                             f"on vertices 0..{m.n - 1}")
+    for e, fs in m.edge_faces.items():
+        if len(fs) != 2:
+            raise ValueError(f"not a closed map: edge {e} lies in {len(fs)} face(s)")
+
+
 def components(size: int, pairs) -> list[int]:
     """Union-find over ``0..size-1`` joined by ``pairs``: each element's
     label is the least element of its component."""
@@ -654,9 +669,10 @@ def is_orientable(m: PolyhedralMap) -> bool:
     """Whether the flag graph 2-colours with every move changing colour.
 
     The flags of one colour then orient every face so that each edge is
-    used once in each direction.  A flag fixed by ``s2`` (an edge not in
-    two faces) cannot change colour, so such maps are not orientable.
+    used once in each direction.  Raises :class:`ValueError` unless the map
+    is closed (:func:`require_closed`).
     """
+    require_closed(m)
     moves = flags(m)[:3]
     colour = [-1] * len(moves[0])
     for root in range(len(colour)):
@@ -678,7 +694,11 @@ def is_orientable(m: PolyhedralMap) -> bool:
 
 
 def surface_profile(m: PolyhedralMap) -> SurfaceProfile:
-    """Counts, Euler characteristic and orientability of a valid map."""
+    """Counts, Euler characteristic and orientability of a valid map.
+
+    Raises :class:`ValueError` for a map that is not closed
+    (:func:`require_closed`), where neither number means anything.
+    """
     v = m.n
     e = len(m.edge_faces)
     f = len(m.faces)

@@ -20,11 +20,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Edge, Face, PolyhedralMap, components, flags, normalize_face, oriented_edge
+from .core import (
+    Edge, Face, PolyhedralMap, components, flags, normalize_face, oriented_edge, require_closed,
+)
 
 
 # ---------------------------------------------------------------------------
-# Simple graphs (edge graphs, G_t graphs)
+# Simple graphs (G_t graphs)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -42,10 +44,6 @@ class SimpleGraph:
                 raise ValueError(f"edge ({a}, {b}) outside 0..{self.n - 1}")
             if a > b:
                 raise ValueError(f"edge ({a}, {b}) not normalized")
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "SimpleGraph":
-        return cls(n, frozenset(oriented_edge(a, b) for a, b in pairs))
 
     @property
     def edge_count(self) -> int:
@@ -89,10 +87,6 @@ class SimpleGraph:
 def neighbor_set(m: PolyhedralMap, v: int) -> frozenset[int]:
     """Vertices joined to ``v`` by an edge of some face."""
     return m.neighbors[v]
-
-
-def edge_graph(m: PolyhedralMap) -> SimpleGraph:
-    return SimpleGraph(m.n, frozenset(m.edge_faces))
 
 
 def link_vertex_set(m: PolyhedralMap, v: int) -> frozenset[int]:
@@ -227,11 +221,9 @@ def _root_flags(m: PolyhedralMap, fv) -> list[int]:
 
 
 def _compute_canonical(m: PolyhedralMap) -> CanonData:
+    require_closed(m)
     s0, s1, s2, fv = flags(m)
     nflags = len(fv)
-    if (not fv or max(fv) >= m.n
-            or any(len(fs) != 2 or fs[0] == fs[1] for fs in m.edge_faces.values())):
-        raise ValueError("canonical form needs a closed map (some edge is not in 2 faces)")
     best = None
     best_queues: list[list[int]] = []
     for root in _root_flags(m, fv):
@@ -318,12 +310,6 @@ class AutomorphismGroup:
     generators: tuple[tuple[int, ...], ...]
     order: int
     orbits: tuple[tuple[int, ...], ...]
-
-    def orbit_of(self, v: int) -> tuple[int, ...]:
-        for orbit in self.orbits:
-            if v in orbit:
-                return orbit
-        raise KeyError(v)
 
 
 def _compose(p, q):

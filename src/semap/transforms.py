@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import combinations_with_replacement, product, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -216,9 +217,8 @@ def add_cylinder(map_a: PolyhedralMap, spec: CylinderSpec,
     if set(fa) & set(fb):
         raise TransformError(f"faces {fa} and {fb} share vertices {sorted(set(fa) & set(fb))}")
 
-    keep = [f for f in all_faces if not (same_face(f, fa) or same_face(f, fb))]
-    keep.extend(_wall_faces(fa, fb, spec.offset, spec.reflect))
-    out = PolyhedralMap(keep, n=n, name=map_a.name)
+    glued = replace(spec, face_a=fa, face_b=fb)
+    out = PolyhedralMap(_apply_bundle(all_faces, [glued]), n=n, name=map_a.name)
     report = validate(out)
     if not report.ok:
         raise TransformError(f"gluing produced an invalid map: {report}")
@@ -328,29 +328,19 @@ def _search_units(base_maps, target_type, target_chi, kind):
             if units:
                 per_task.append(units)
     # Round-robin across base multisets.
-    i = 0
-    while True:
-        yielded = False
-        for units in per_task:
-            if i < len(units):
-                yield units[i]
-                yielded = True
-        if not yielded:
-            return
-        i += 1
+    for batch in zip_longest(*per_task):
+        yield from (unit for unit in batch if unit is not None)
 
 
 def _units_for_multiset(picked, n_cyl, kind):
     offset = 0
     faces: list[Face] = []
-    component_of: dict[Face, int] = {}
+    base_of: list[int] = []  # vertex -> index of its base in ``picked``
     names = []
     for ci, b in enumerate(picked):
         names.append(b.name or f"base{ci}")
-        for f in b.faces:
-            shifted = tuple(v + offset for v in f)
-            faces.append(shifted)
-            component_of[normalize_face(shifted)] = ci
+        faces.extend(tuple(v + offset for v in f) for f in b.faces)
+        base_of.extend([ci] * b.n)
         offset += b.n
     union = PolyhedralMap(faces, n=offset)
     if kind == "quad":
@@ -366,9 +356,8 @@ def _units_for_multiset(picked, n_cyl, kind):
         for pairing in _perfect_matchings(list(sites)):
             if any(set(a) & set(b) for a, b in pairing):
                 continue
-            joined = components(len(picked), (
-                (component_of[normalize_face(a)], component_of[normalize_face(b)])
-                for a, b in pairing))
+            joined = components(len(picked), ((base_of[a[0]], base_of[b[0]])
+                                               for a, b in pairing))
             if any(joined):  # some base is not joined to the first one
                 continue
             units.append((tuple(names), tuple(faces), offset, pairing))
@@ -376,96 +365,72 @@ def _units_for_multiset(picked, n_cyl, kind):
     # existing edges); try the units with the fewest of them first so a
     # truncated search reaches productive gluings early.
     def same_component_pairs(unit):
-        return sum(
-            1 for a, b in unit[3]
-            if component_of[normalize_face(a)] == component_of[normalize_face(b)]
-        )
+        return sum(1 for a, b in unit[3] if base_of[a[0]] == base_of[b[0]])
 
     units.sort(key=lambda u: (same_component_pairs(u), u[3]))
     yield from units
 
 
-def _new_pairs(a: Face, b: Face, offset: int, reflect: bool) -> list[tuple[int, int]]:
-    """Vertex pairs that the cylinder walls join across the two boundaries.
-
-    These are exactly the new wall edges plus, for quadrangle walls, the
-    wall diagonals; none of them may lie together inside any face that
-    survives the surgery, or validation must fail.
-    """
-    k = len(a)
-    if reflect:
-        b = b[::-1]
-    c = tuple(b[(offset + i) % k] for i in range(k))
-    pairs = [(a[i], c[i]) for i in range(k)]
-    pairs += [(a[i], c[(i + 1) % k]) for i in range(k)]
-    if k == 4:
-        pairs += [(a[i], c[(i + 2) % k]) for i in range(k)]
-    return pairs
-
-
-def _feasible_gluings(union: PolyhedralMap, removed: set[Face],
-                      a: Face, b: Face, kind: str) -> list[tuple[int, bool]]:
-    """Gluings whose new vertex pairs avoid every surviving face."""
-    surviving: dict[int, set[int]] = {v: set() for v in range(union.n)}
-    for fi, face in enumerate(union.faces):
-        if normalize_face(face) in removed:
-            continue
-        for v in face:
-            surviving[v].add(fi)
-    out = []
-    for o, r in _gluings(kind):
-        if all(not (surviving[x] & surviving[y]) for x, y in _new_pairs(a, b, o, r)):
-            out.append((o, r))
-    return out
-
-
-def _run_unit(unit, kind: str, target_entries: tuple, target_chi: int) -> dict:
-    """Try every gluing of one unit; return valid candidates with forms.
-
-    Gluings are screened per cylinder first: a wall edge or wall diagonal
-    landing inside a surviving face is a guaranteed validation failure, so
-    only combinations of individually feasible gluings are constructed.
-    """
-    names, faces, n, pairing = unit
-    union = PolyhedralMap(faces, n=n)
-    removed = {normalize_face(f) for pair in pairing for f in pair}
-    feasible = [
-        _feasible_gluings(union, removed, a, b, kind) for a, b in pairing
-    ]
-    candidates = len(_gluings(kind)) ** len(pairing)
-    found = []
-    built = 0
-    for gchoice in product(*feasible):
-        built += 1
-        specs = tuple(
-            CylinderSpec(kind=kind, face_a=a, face_b=b, offset=o, reflect=r)
-            for (a, b), (o, r) in zip(pairing, gchoice)
-        )
-        cand_faces = _apply_bundle(faces, specs)
-        cand = PolyhedralMap(cand_faces, n=n)
-        if not validate(cand).ok:
-            continue
-        t = semi_equivelar_type(cand)
-        if t is None or t.entries != target_entries:
-            continue
-        if surface_profile(cand).euler_characteristic != target_chi:
-            continue
-        found.append((canonical_form(cand), cand.faces, specs))
-    return {"names": names, "n": n, "candidates": candidates,
-            "built": built, "found": found}
-
-
-def _run_unit_star(args):
-    return _run_unit(*args)
-
-
 def _apply_bundle(faces, specs) -> list[Face]:
+    """The faces after every spec's two faces are removed and its walls added.
+
+    This is the one place cylinder specs turn into faces: ``add_cylinder``
+    and the search both build through it, and provenance replays with it.
+    """
     removed = {normalize_face(s.face_a) for s in specs}
     removed |= {normalize_face(s.face_b) for s in specs}
     out = [f for f in faces if normalize_face(f) not in removed]
     for s in specs:
         out.extend(_wall_faces(s.face_a, s.face_b, s.offset, s.reflect))
     return out
+
+
+def _feasible_gluings(unit, kind: str) -> list[list[tuple[int, bool]]]:
+    """For each site pair of a unit, the gluings whose walls fit the faces
+    that survive the surgery.
+
+    A wall face joins vertices of ``a`` to vertices of ``b``.  If a
+    surviving face also holds such a cross pair, it meets the wall face in
+    two vertices that are not a shared edge, or puts an edge in three
+    faces, so validation must fail.
+    """
+    _, faces, n, pairing = unit
+    removed = {normalize_face(f) for pair in pairing for f in pair}
+    surviving = PolyhedralMap([f for f in faces if normalize_face(f) not in removed], n=n)
+    at = {v: set(fs) for v, fs in surviving.vertex_faces.items()}
+    out = []
+    for a, b in pairing:
+        side = set(a)
+        out.append([(o, r) for o, r in _gluings(kind) if not any(
+            at[x] & at[y] for w in _wall_faces(a, b, o, r)
+            for x in w if x in side for y in w if y not in side)])
+    return out
+
+
+def _run_unit(unit, kind: str, target_entries: tuple) -> dict:
+    """Try every gluing of one unit; return valid candidates with forms.
+
+    Gluings are screened per cylinder first (:func:`_feasible_gluings`), so
+    only combinations of individually feasible gluings are constructed.
+    """
+    names, faces, n, pairing = unit
+    found = []
+    built = 0
+    for gchoice in product(*_feasible_gluings(unit, kind)):
+        built += 1
+        specs = tuple(
+            CylinderSpec(kind=kind, face_a=a, face_b=b, offset=o, reflect=r)
+            for (a, b), (o, r) in zip(pairing, gchoice)
+        )
+        cand = PolyhedralMap(_apply_bundle(faces, specs), n=n)
+        if not validate(cand).ok:
+            continue
+        # No chi check: valid maps of one type have chi = n * curvature(type).
+        t = semi_equivelar_type(cand)
+        if t is None or t.entries != target_entries:
+            continue
+        found.append((canonical_form(cand), cand.faces, specs))
+    return {"names": names, "n": n, "built": built, "found": found}
 
 
 def cylinder_search(
@@ -482,9 +447,9 @@ def cylinder_search(
     every quadrangle consumed when the target gains one quadrangle per
     vertex, or a perfect matching of vertex-disjoint triangles consuming
     every vertex once when it gains two triangles.  Each gluing choice is
-    applied, results are filtered by validation, semi-equivelar type and
-    chi, and de-duplicated by canonical form, one representative per
-    isomorphism class.
+    applied, results are filtered by validation and semi-equivelar type
+    (with the vertex count fixed, these fix chi) and de-duplicated by
+    canonical form, one representative per isomorphism class.
 
     ``max_candidates`` truncates the deterministic candidate stream (at
     work-unit granularity); ``stats.exhausted`` records whether the whole
@@ -514,25 +479,22 @@ def cylinder_search(
     per_cyl = len(_gluings(kind))
     units = []
     for unit in _search_units(base_maps, target_type, target_chi, kind):
-        if max_candidates is not None:
-            cost = per_cyl ** len(unit[3])
-            if stats.candidates + cost > max_candidates:
-                stats.exhausted = False
-                break
-            stats.candidates += cost
+        cost = per_cyl ** len(unit[3])
+        if max_candidates is not None and stats.candidates + cost > max_candidates:
+            stats.exhausted = False
+            break
+        stats.candidates += cost
         units.append(unit)
-    if max_candidates is None:
-        stats.candidates = sum(per_cyl ** len(u[3]) for u in units)
     stats.bundles = len(units)
 
-    args = [(u, kind, target_type.entries, target_chi) for u in units]
+    run = partial(_run_unit, kind=kind, target_entries=target_type.entries)
     if jobs > 1 and len(units) > 1:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_run_unit_star, args, chunksize=8))
+            outputs = list(pool.map(run, units))
     else:
-        outputs = [_run_unit_star(a) for a in args]
+        outputs = list(map(run, units))
 
     for out in outputs:
         stats.built += out["built"]

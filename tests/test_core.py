@@ -156,6 +156,15 @@ def test_orientability_invariant_under_relabeling(all_catalog):
             assert is_orientable(entry.map.relabel(perm)) == want
 
 
+def test_surface_profile_refuses_maps_that_are_not_closed():
+    # the last face repeats vertex 1; without the closedness check this map
+    # got the answer "chi=1 (non-orientable), V=4 E=7 F=4"
+    m = PolyhedralMap([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 1)], n=4)
+    for fn in (surface_profile, is_orientable):
+        with pytest.raises(ValueError, match="closed map"):
+            fn(m)
+
+
 def test_flag_moves_are_involutions_with_one_orbit_per_vertex(all_catalog):
     for entry in all_catalog:
         s0, s1, s2, fv = flags(entry.map)

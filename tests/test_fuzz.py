@@ -8,7 +8,9 @@ one).
 from hypothesis import example, given, settings, strategies as st
 
 from semap import (
+    CylinderSpec,
     PolyhedralMap,
+    add_cylinder,
     automorphism_group,
     canonical_form,
     catalog,
@@ -23,11 +25,12 @@ MUTATIONS = ("drop", "duplicate", "swap", "out-of-range", "repeat")
 
 
 @st.composite
-def mutated_maps(draw):
+def mutated_maps(draw, min_mutations=1):
     base = draw(st.sampled_from(catalog())).map
     faces = [list(f) for f in base.faces]
     i = 0
-    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=4)):
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=min_mutations,
+                              max_size=4)):
         # Mutations often hit the face the previous one hit: a face
         # duplicated twice puts its edges in four faces each.
         if not draw(st.booleans()) or i >= len(faces):
@@ -73,3 +76,30 @@ def test_mutated_maps_are_reported_or_refused(m):
     for v in range(m.n):
         answers_or_value_error(vertex_link, m, v)
 
+
+
+def spec_face(draw, m: PolyhedralMap, size: int) -> tuple[int, ...]:
+    """A face of ``m`` with ``size`` vertices, or made-up labels."""
+    own = [f for f in m.faces if len(f) == size]
+    if own and draw(st.booleans()):
+        return draw(st.sampled_from(own))
+    return tuple(draw(st.lists(st.integers(0, m.n + 1), min_size=size, max_size=size)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_add_cylinder_validates_or_refuses(data):
+    draw = data.draw
+    map_a = draw(mutated_maps(min_mutations=0))
+    map_b = draw(st.one_of(st.none(), mutated_maps(min_mutations=0)))
+    kind = draw(st.sampled_from(("quad", "tri")))
+    size = 4 if kind == "quad" else 3
+    spec = CylinderSpec(kind=kind, face_a=spec_face(draw, map_a, size),
+                        face_b=spec_face(draw, map_b or map_a, size),
+                        offset=draw(st.integers(0, size - 1)), reflect=draw(st.booleans()))
+    try:
+        glued = add_cylinder(map_a, spec, map_b)
+    except ValueError:
+        return
+    assert validate(glued).ok
+    assert glued.n == map_a.n + (map_b.n if map_b else 0)

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -265,11 +265,34 @@ def test_search_results_are_pairwise_non_isomorphic(k1):
 
 
 def test_search_is_deterministic_and_job_independent(k1, k3):
+    # the budget admits 2 units, so jobs=2 runs them on two workers
     one = cylinder_search([k1, k3], T45, -8, max_candidates=1024, jobs=1)
     two = cylinder_search([k1, k3], T45, -8, max_candidates=1024, jobs=2)
+    assert one[2].bundles == two[2].bundles == 2
     assert [m.faces for m in one[0]] == [m.faces for m in two[0]]
+    assert one[1] == two[1]
     assert one[2].candidates == two[2].candidates
     assert one[2].built == two[2].built
+    assert one[2].valid == two[2].valid
+    assert one[2].classes == two[2].classes
+
+
+@pytest.mark.parametrize("kind, target, chi", [("quad", T45, -8), ("tri", T37, -10)])
+def test_screen_accepts_exactly_the_valid_gluings(k1, kind, target, chi):
+    from semap.transforms import _apply_bundle, _feasible_gluings, _gluings, _search_units
+
+    unit = next(_search_units([k1], target, chi, kind))
+    _, faces, n, pairing = unit
+    feasible = _feasible_gluings(unit, kind)
+    accepted = 0
+    for choice in product(_gluings(kind), repeat=len(pairing)):
+        specs = [CylinderSpec(kind=kind, face_a=a, face_b=b, offset=o, reflect=r)
+                 for (a, b), (o, r) in zip(pairing, choice)]
+        screened = all(g in ok for g, ok in zip(choice, feasible))
+        valid = validate(PolyhedralMap(_apply_bundle(faces, specs), n=n)).ok
+        assert screened == valid, specs
+        accepted += screened
+    assert accepted > 0
 
 
 def test_provenance_replays_to_the_same_map(k1, k2):
