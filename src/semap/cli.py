@@ -237,7 +237,8 @@ def cmd_cylinder_search(args) -> int:
     maps, notes, stats = transforms.cylinder_search(
         bases, seq, args.chi, max_candidates=args.max_candidates, jobs=args.jobs)
     stats_payload = {
-        "bundles": stats.bundles, "candidates": stats.candidates,
+        "bundles": stats.bundles, "covered_units": stats.covered_units,
+        "candidates": stats.candidates,
         "built": stats.built, "valid": stats.valid, "classes": stats.classes,
         "exhausted": stats.exhausted, "seconds": round(stats.seconds, 3),
     }

@@ -5,7 +5,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import combinations_with_replacement, product, zip_longest
+from itertools import (
+    accumulate, chain, combinations_with_replacement, groupby, permutations, product, zip_longest,
+)
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -23,7 +25,7 @@ from .core import (
     surface_profile,
     validate,
 )
-from .isomorphism import canonical_form
+from .isomorphism import automorphism_group, canonical_form
 
 
 class TransformError(ValueError):
@@ -232,8 +234,9 @@ def add_cylinder(map_a: PolyhedralMap, spec: CylinderSpec,
 @dataclass
 class CylinderSearchStats:
     bundles: int = 0
+    covered_units: int = 0   # bundles not run: a symmetry maps them onto an earlier one
     candidates: int = 0      # gluing combinations examined
-    built: int = 0           # maps actually constructed and validated
+    built: int = 0           # orbit-least gluings constructed and validated
     valid: int = 0
     classes: int = 0
     exhausted: bool = True
@@ -311,7 +314,14 @@ def _search_units(base_maps, target_type, target_chi, kind):
     different base multisets are interleaved round-robin so truncated
     searches still sample every combination of bases.
     """
-    per_task: list[list[tuple]] = []
+    for _, unit in _combo_units(base_maps, target_type, target_chi, kind):
+        yield unit
+
+
+def _combo_units(base_maps, target_type, target_chi, kind):
+    """The stream of :func:`_search_units`, each unit with its base multiset
+    (a sorted tuple of indices into ``base_maps``)."""
+    per_task: list[tuple[tuple[int, ...], list[tuple]]] = []
     target_n = sem_vertex_count(target_type, target_chi)
     max_copies = max(1, target_n // min(b.n for b in base_maps))
     for count in range(1, max_copies + 1):
@@ -326,10 +336,12 @@ def _search_units(base_maps, target_type, target_chi, kind):
             n_cyl = twice // 2
             units = list(_units_for_multiset(picked, n_cyl, kind))
             if units:
-                per_task.append(units)
+                per_task.append((combo, units))
     # Round-robin across base multisets.
-    for batch in zip_longest(*per_task):
-        yield from (unit for unit in batch if unit is not None)
+    for batch in zip_longest(*(units for _, units in per_task)):
+        for (combo, _), unit in zip(per_task, batch):
+            if unit is not None:
+                yield combo, unit
 
 
 def _units_for_multiset(picked, n_cyl, kind):
@@ -407,20 +419,109 @@ def _feasible_gluings(unit, kind: str) -> list[list[tuple[int, bool]]]:
     return out
 
 
-def _run_unit(unit, kind: str, target_entries: tuple) -> dict:
-    """Try every gluing of one unit; return valid candidates with forms.
+def _image(perm, faces) -> frozenset:
+    """The normalised images of ``faces`` under the vertex map ``perm``."""
+    return frozenset(normalize_face(tuple(perm[v] for v in f)) for f in faces)
+
+
+class _BaseSymmetry:
+    """The symmetry group of one base multiset and the units it has seen.
+
+    The group acts on the labels of the disjoint union of the bases: an
+    automorphism on every copy, then any permutation of the copies of one
+    base.  A symmetry maps every gluing of a unit onto a gluing of the
+    image unit, and validity, type and canonical form do not depend on
+    labels, so a unit whose pairing is the image of an earlier one's can
+    only repeat classes, and so can a gluing that a symmetry fixing its
+    pairing maps onto an earlier gluing of the same unit (orderly
+    generation: B. D. McKay, J. Algorithms 26, 1998).
+    """
+
+    def __init__(self, base_maps, combo):
+        offsets = list(accumulate((base_maps[i].n for i in combo), initial=0))
+        autos = []
+        for i in combo:
+            try:
+                autos.append(automorphism_group(base_maps[i]).elements)
+            except ValueError:  # no canonical form (e.g. disconnected): identity only
+                autos.append((tuple(range(base_maps[i].n)),))
+        # Copies of one base are consecutive in ``combo``; each block is
+        # permuted among itself.
+        blocks = [list(g) for _, g in groupby(range(len(combo)), key=combo.__getitem__)]
+        self.elements = []
+        for dest in product(*(permutations(b) for b in blocks)):
+            dest = tuple(chain.from_iterable(dest))
+            for alphas in product(*autos):
+                perm = [0] * offsets[-1]
+                for c, alpha in enumerate(alphas):
+                    for x, y in enumerate(alpha):
+                        perm[offsets[c] + x] = offsets[dest[c]] + y
+                self.elements.append(perm)
+        self.seen: set[frozenset] = set()
+
+    def admit(self, pairing, kind: str) -> list[tuple] | None:
+        """None if a symmetry maps ``pairing`` onto the pairing of an earlier
+        admitted unit; otherwise the gluing moves of its stabiliser.
+
+        A move gives, for each site pair ``i``, the pair ``j`` the symmetry
+        sends it to and where each gluing index of ``i`` lands on ``j``;
+        it is read off by matching normalised wall sets.
+        """
+        identity = list(range(len(self.elements[0])))
+        key = frozenset(_image(identity, p) for p in pairing)
+        if key in self.seen:
+            return None
+        stabiliser = []
+        for perm in self.elements:
+            image = frozenset(_image(perm, p) for p in pairing)
+            self.seen.add(image)
+            if image == key and perm != identity:
+                stabiliser.append(perm)
+        walls = [[_image(identity, _wall_faces(a, b, o, r)) for o, r in _gluings(kind)]
+                 for a, b in pairing]
+        where = {w: (i, g) for i, ws in enumerate(walls) for g, w in enumerate(ws)}
+        moves = []
+        for perm in stabiliser:
+            move = []
+            for ws in walls:
+                images = [where[_image(perm, w)] for w in ws]
+                move.append((images[0][0], tuple(g for _, g in images)))
+            moves.append(tuple(move))
+        return moves
+
+
+def _orbit_least(choice: tuple, moves) -> bool:
+    """Whether no move maps the gluing-index tuple ``choice`` below itself."""
+    for move in moves:
+        image = list(choice)
+        for g, (j, gmap) in zip(choice, move):
+            image[j] = gmap[g]
+        if tuple(image) < choice:
+            return False
+    return True
+
+
+def _run_unit(unit, moves, kind: str, target_entries: tuple) -> dict:
+    """Try the orbit-least gluings of one unit; return valid candidates with forms.
 
     Gluings are screened per cylinder first (:func:`_feasible_gluings`), so
-    only combinations of individually feasible gluings are constructed.
+    only combinations of individually feasible gluings are considered, and
+    only those that no symmetry in ``moves`` maps onto an earlier one are
+    constructed.
     """
     names, faces, n, pairing = unit
+    gluings = _gluings(kind)
+    feasible = [[gluings.index(g) for g in ok] for ok in _feasible_gluings(unit, kind)]
     found = []
     built = 0
-    for gchoice in product(*_feasible_gluings(unit, kind)):
+    for choice in product(*feasible):
+        if not _orbit_least(choice, moves):
+            continue
         built += 1
         specs = tuple(
-            CylinderSpec(kind=kind, face_a=a, face_b=b, offset=o, reflect=r)
-            for (a, b), (o, r) in zip(pairing, gchoice)
+            CylinderSpec(kind=kind, face_a=a, face_b=b, offset=gluings[g][0],
+                         reflect=gluings[g][1])
+            for (a, b), g in zip(pairing, choice)
         )
         cand = PolyhedralMap(_apply_bundle(faces, specs), n=n)
         if not validate(cand).ok:
@@ -446,15 +547,20 @@ def cylinder_search(
     forced by (type, chi) and enumerates admissible cylinder bundles:
     every quadrangle consumed when the target gains one quadrangle per
     vertex, or a perfect matching of vertex-disjoint triangles consuming
-    every vertex once when it gains two triangles.  Each gluing choice is
-    applied, results are filtered by validation and semi-equivelar type
-    (with the vertex count fixed, these fix chi) and de-duplicated by
-    canonical form, one representative per isomorphism class.
+    every vertex once when it gains two triangles.  Symmetries of the
+    bases (automorphisms of each copy, swaps of copies of one base) skip
+    every bundle and every gluing they map onto an earlier one
+    (:class:`_BaseSymmetry`); each remaining gluing is applied, results are
+    filtered by validation and semi-equivelar type (with the vertex count
+    fixed, these fix chi) and de-duplicated by canonical form, one
+    representative per isomorphism class.  The first gluing to reach a
+    class is never skipped, so the result list and its provenance are
+    those of the unreduced search.
 
     ``max_candidates`` truncates the deterministic candidate stream (at
-    work-unit granularity); ``stats.exhausted`` records whether the whole
-    space was covered.  ``jobs > 1`` distributes units over processes; the
-    result list does not depend on ``jobs``.
+    work-unit granularity, skipped bundles included); ``stats.exhausted``
+    records whether the whole space was covered.  ``jobs > 1`` distributes
+    units over processes; the result list does not depend on ``jobs``.
     """
     t0 = time.perf_counter()
     stats = CylinderSearchStats()
@@ -477,24 +583,32 @@ def cylinder_search(
         return results, notes, stats
 
     per_cyl = len(_gluings(kind))
-    units = []
-    for unit in _search_units(base_maps, target_type, target_chi, kind):
+    symmetries: dict[tuple[int, ...], _BaseSymmetry] = {}
+    units, moves = [], []
+    for combo, unit in _combo_units(base_maps, target_type, target_chi, kind):
         cost = per_cyl ** len(unit[3])
         if max_candidates is not None and stats.candidates + cost > max_candidates:
             stats.exhausted = False
             break
         stats.candidates += cost
+        stats.bundles += 1
+        if combo not in symmetries:
+            symmetries[combo] = _BaseSymmetry(base_maps, combo)
+        unit_moves = symmetries[combo].admit(unit[3], kind)
+        if unit_moves is None:
+            stats.covered_units += 1
+            continue
         units.append(unit)
-    stats.bundles = len(units)
+        moves.append(unit_moves)
 
     run = partial(_run_unit, kind=kind, target_entries=target_type.entries)
     if jobs > 1 and len(units) > 1:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(run, units))
+            outputs = list(pool.map(run, units, moves))
     else:
-        outputs = list(map(run, units))
+        outputs = list(map(run, units, moves))
 
     for out in outputs:
         stats.built += out["built"]

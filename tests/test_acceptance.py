@@ -15,6 +15,7 @@ deliberately rather than being weakened to match the computation.
 """
 
 import functools
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -206,6 +207,9 @@ def test_criterion_5_cylinder_families():
     for m in quad_maps:
         forms.add(canonical_form(m))
     assert len(forms) == len(quad_maps), "quad classes are not pairwise distinct"
+    assert len(quad_maps) == 3002
+    digest = hashlib.sha256(b"".join(f + b"\n" for f in sorted(forms))).hexdigest()
+    assert digest == "4b82434fb2aa59f394b78d27e3e45040a2e33e193d9f1f603a0a9fab4dfeff45"
 
     tri_maps, tri_notes, tri_stats = cylinder_search(
         bases, T374, -10, max_candidates=12960, jobs=2)

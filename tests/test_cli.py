@@ -132,6 +132,15 @@ def test_cylinder_search_json(capsys):
     assert payload["provenance"][0]["specs"]
 
 
+def test_cylinder_search_text_stats_count_covered_units(capsys):
+    # one of the first three [K1] bundles is the image of an earlier one
+    code, out, _ = run(capsys, "cylinder-search", "--type", "3^5,4^2",
+                       "--chi", "-8", "--bases", "k1", "--max-candidates", "1536")
+    assert code == 0
+    stats = json.loads(out.splitlines()[-1].removeprefix("# stats: "))
+    assert (stats["bundles"], stats["covered_units"], stats["candidates"]) == (3, 1, 1536)
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

@@ -4,12 +4,14 @@ from itertools import combinations
 import pytest
 
 from semap import (
+    FaceSequence,
     PolyhedralMap,
     SimpleGraph,
     are_isomorphic,
     automorphism_group,
     canonical_form,
     canonical_map,
+    cylinder_search,
     g_t_graph,
     is_vertex_transitive,
     isomorphism,
@@ -19,6 +21,7 @@ from semap import (
     stack_faces,
     validate,
 )
+from semap.core import flags
 from oracles import (
     brute_force_automorphisms,
     brute_force_isomorphism,
@@ -153,6 +156,55 @@ def test_canonical_form_refuses_disconnected_maps(tetrahedron):
                                                    for f in tetrahedron.faces))
     with pytest.raises(ValueError, match="connected"):
         canonical_form(both)
+
+
+def every_root_code(m):
+    """Least breadth-first flag code over all roots: a complete invariant
+    that roots at every flag instead of the filtered few."""
+    s0, s1, s2, _ = flags(m)
+    best = None
+    for root in range(len(s0)):
+        order = {root: 0}
+        queue = [root]
+        code = []
+        for x in queue:
+            for y in (s0[x], s1[x], s2[x]):
+                if y not in order:
+                    order[y] = len(queue)
+                    queue.append(y)
+                code.append(order[y])
+        if best is None or code < best:
+            best = code
+    return m.n, tuple(best)
+
+
+def scrambled(m, rng):
+    """``m`` relabeled, its faces shuffled, each rotated and maybe reversed."""
+    relabeled, _ = shuffled(m, rng)
+    faces = []
+    for f in relabeled.faces:
+        k = rng.randrange(len(f))
+        f = f[k:] + f[:k]
+        faces.append(f[::-1] if rng.random() < 0.5 else f)
+    rng.shuffle(faces)
+    return PolyhedralMap(faces, n=m.n)
+
+
+def test_root_filter_partitions_like_rooting_at_every_flag(k1):
+    classes, _, _ = cylinder_search([k1], FaceSequence.from_string("3^5,4^2"), -8)
+    rng = random.Random(17)
+    sample = rng.sample(classes, 8)
+    family = sample + [scrambled(m, rng) for m in sample for _ in range(2)]
+
+    def partition(key):
+        blocks = {}
+        for i, m in enumerate(family):
+            blocks.setdefault(key(m), set()).add(i)
+        return {frozenset(b) for b in blocks.values()}
+
+    by_form = partition(canonical_form)
+    assert by_form == partition(every_root_code)
+    assert len(by_form) == len(sample)
 
 
 def test_canonical_forms_separate_k1_k2_k3(k1, k2, k3):

@@ -10,6 +10,7 @@ from semap import (
     TransformError,
     add_cylinder,
     are_isomorphic,
+    canonical_form,
     cylinder_search,
     double_cover,
     face_sequence,
@@ -293,6 +294,44 @@ def test_screen_accepts_exactly_the_valid_gluings(k1, kind, target, chi):
         assert screened == valid, specs
         accepted += screened
     assert accepted > 0
+
+
+def _unreduced_forms(bases, target, chi, kind, max_candidates):
+    """Canonical forms of every valid gluing of every admitted unit, no
+    symmetry used, and the number of gluings built."""
+    from semap.transforms import _apply_bundle, _gluings, _search_units
+
+    forms, built, spent = set(), 0, 0
+    for _, faces, n, pairing in _search_units(bases, target, chi, kind):
+        spent += len(_gluings(kind)) ** len(pairing)
+        if spent > max_candidates:
+            break
+        for choice in product(_gluings(kind), repeat=len(pairing)):
+            specs = [CylinderSpec(kind=kind, face_a=a, face_b=b, offset=o, reflect=r)
+                     for (a, b), (o, r) in zip(pairing, choice)]
+            cand = PolyhedralMap(_apply_bundle(faces, specs), n=n)
+            built += 1
+            if validate(cand).ok and semi_equivelar_type(cand) == target:
+                forms.add(canonical_form(cand))
+    return forms, built
+
+
+@pytest.mark.parametrize("names, budget, covered", [(("k1",), 1536, 1), (("k1", "k3"), 1024, 0)],
+                         ids=["k1", "k1+k3"])
+def test_orbit_reduced_search_matches_unreduced(request, names, budget, covered):
+    bases = [request.getfixturevalue(name) for name in names]
+    maps, _, stats = cylinder_search(bases, T45, -8, max_candidates=budget)
+    forms, built = _unreduced_forms(bases, T45, -8, "quad", budget)
+    assert stats.covered_units == covered
+    assert {canonical_form(m) for m in maps} == forms
+    assert stats.built < built
+
+
+def test_search_accepts_a_base_without_automorphism_group(k1):
+    # a disconnected base has no canonical form; its only symmetry used is the identity
+    both = PolyhedralMap(k1.faces + tuple(tuple(v + 12 for v in f) for f in k1.faces), n=24)
+    _, _, stats = cylinder_search([both], T45, -8, max_candidates=1024)
+    assert (stats.bundles, stats.covered_units) == (2, 0)
 
 
 def test_provenance_replays_to_the_same_map(k1, k2):
