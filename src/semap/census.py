@@ -1,18 +1,20 @@
-"""Isomorph-free exhaustive generation of semi-equivelar maps.
+"""Exhaustive generation of semi-equivelar maps by link completion.
 
 The search fixes the link of vertex 0 in a normalized form (every map of
 the requested type contains a vertex whose link can be relabeled to that
 seed, so nothing is lost), then repeatedly picks the most constrained
 open edge and tries every face that could be its second face.  Partial
 states track per-vertex face-size budgets and the arcs of each link, so
-contradictions are caught as early as possible.  Complete maps are
-validated and de-duplicated by canonical form.
+contradictions are caught as early as possible.  The search is not
+isomorph-free: it can reach one class through several complete maps (32
+for the 3 classes of (3^5,4) on chi=-1), so complete maps are validated
+and de-duplicated by canonical form afterwards.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 from .core import (
@@ -22,8 +24,8 @@ from .core import (
     ImpossibleTypeError,
     PolyhedralMap,
     VertexLink,
+    face_edges,
     normalize_face,
-    oriented_edge,
     sem_vertex_count,
     semi_equivelar_type,
     validate,
@@ -31,8 +33,20 @@ from .core import (
 from .isomorphism import canonical_form
 
 
+PRUNE_REASONS = ("size", "repeat", "range", "duplicate", "slot", "edge", "link",
+                 "intersection")
+
+
 class LinkContradiction(ValueError):
-    """A face or link cannot be committed without breaking an invariant."""
+    """A face or link cannot be committed without breaking an invariant.
+
+    ``reason`` names the first invariant that failed, one of
+    :data:`PRUNE_REASONS` (the order ``PartialMap.add_face`` checks them in).
+    """
+
+    def __init__(self, message: str, reason: str = "link"):
+        super().__init__(message)
+        self.reason = reason
 
 
 @dataclass
@@ -43,16 +57,30 @@ class SearchStats:
     seconds: float = 0.0
     exhausted: bool = True
     reason: str = ""
+    # Rejected candidate faces per LinkContradiction reason.
+    pruned: dict[str, int] = field(default_factory=lambda: dict.fromkeys(PRUNE_REASONS, 0))
 
 
 class PartialMap:
     """A growing face set with per-vertex link bookkeeping.
 
-    Invariants maintained on every commit: no edge in more than 2 faces,
+    Invariants checked before every commit: no edge in more than 2 faces,
     per-vertex face-size usage within the target multiplicities, any two
     faces meeting in at most one vertex or one full edge, and every
     vertex's committed corners forming disjoint arcs of its eventual link
     (or the single full cycle once its budget is spent).
+
+    ``arcs[v]`` maps each end of an arc of v's corners to the other end of
+    that arc.  A new corner (a, b) at v joins the arcs ending at a and b (a
+    label not yet in the link is an arc of its own), or, when a and b end
+    the same arc, closes it: allowed only for the only arc and v's
+    ``degree``-th corner, which leaves ``arcs[v]`` empty.
+
+    ``add_face`` runs every check before it changes anything, so a refused
+    face leaves the state as it was.  A commit pushes its undo record (each
+    changed dict entry with its old value) on a trail, and ``pop_face``
+    restores the state from before the last commit exactly; the search
+    commits and pops in place.  ``copy`` starts an empty trail.
     """
 
     def __init__(self, n: int, target: FaceSequence):
@@ -60,10 +88,11 @@ class PartialMap:
         self.target = dict(target.entries)
         self.degree = target.degree
         self.faces: list[Face] = []
-        self.face_keys: set[Face] = set()
         self.edge_use: dict[tuple[int, int], tuple[int, ...]] = {}
         self.vertex_faces: dict[int, tuple[int, ...]] = {}
         self.size_used: dict[int, dict[int, int]] = {}
+        self.arcs: dict[int, dict[int, int]] = {}
+        self._trail: list[list] = []
 
     def copy(self) -> "PartialMap":
         out = PartialMap.__new__(PartialMap)
@@ -71,10 +100,11 @@ class PartialMap:
         out.target = self.target
         out.degree = self.degree
         out.faces = list(self.faces)
-        out.face_keys = set(self.face_keys)
         out.edge_use = dict(self.edge_use)
         out.vertex_faces = dict(self.vertex_faces)
         out.size_used = {v: dict(c) for v, c in self.size_used.items()}
+        out.arcs = {v: dict(e) for v, e in self.arcs.items()}
+        out._trail = []
         return out
 
     # -- queries ----------------------------------------------------------
@@ -83,115 +113,104 @@ class PartialMap:
     def used_vertices(self) -> list[int]:
         return sorted(self.vertex_faces)
 
-    def corners_at(self, v: int) -> list[tuple[int, int]]:
-        """Endpoint pairs (neighbors of v) of each committed face at v."""
-        out = []
-        for fi in self.vertex_faces.get(v, ()):
-            face = self.faces[fi]
-            i = face.index(v)
-            out.append((face[(i + 1) % len(face)], face[(i - 1) % len(face)]))
-        return out
-
-    def open_edges(self) -> list[tuple[int, int]]:
-        return sorted(e for e, fs in self.edge_use.items() if len(fs) == 1)
-
     def is_complete(self) -> bool:
         return bool(self.faces) and all(len(fs) == 2 for fs in self.edge_use.values())
 
     # -- commits -----------------------------------------------------------
 
     def add_face(self, face: Face) -> None:
-        """Commit one face, or raise :class:`LinkContradiction`."""
+        """Commit one face, or raise :class:`LinkContradiction` and change nothing."""
         face = tuple(face)
         size = len(face)
         if size not in self.target:
-            raise LinkContradiction(f"face size {size} not in target type")
+            raise LinkContradiction(f"face size {size} not in target type", "size")
         if len(set(face)) != size:
-            raise LinkContradiction(f"face {face} repeats a vertex")
-        if any(not 0 <= v < self.n for v in face):
-            raise LinkContradiction(f"face {face} outside vertex budget {self.n}")
-        key = normalize_face(face)
-        if key in self.face_keys:
-            raise LinkContradiction(f"face {face} already committed")
+            raise LinkContradiction(f"face {face} repeats a vertex", "repeat")
+        if min(face) < 0 or max(face) >= self.n:
+            raise LinkContradiction(f"face {face} outside vertex budget {self.n}", "range")
+        edge_use = self.edge_use
+        edges = face_edges(face)
+        uses = [edge_use.get(e, ()) for e in edges]
+        # A face whose edges all lie in one committed face is that face.
+        for fi in uses[0]:
+            if all(fi in fs for fs in uses):
+                raise LinkContradiction(f"face {face} already committed", "duplicate")
         for v in face:
             if self.size_used.get(v, {}).get(size, 0) >= self.target[size]:
-                raise LinkContradiction(f"vertex {v} has no remaining {size}-gon slot")
-
-        edges = [oriented_edge(face[i], face[(i + 1) % size]) for i in range(size)]
-        face_set = set(face)
-        for e in edges:
-            fs = self.edge_use.get(e, ())
-            if len(fs) >= 2:
-                raise LinkContradiction(f"edge {e} already lies in 2 faces")
-            if fs:
-                other = set(self.faces[fs[0]])
-                if len(face_set & other) != 2:
-                    raise LinkContradiction(
-                        f"faces on edge {e} would share {sorted(face_set & other)}")
-        edge_set = set(edges)
-        for fi, g in enumerate(self.faces):
-            shared = face_set & set(g)
-            if len(shared) < 2:
-                continue
-            if len(shared) > 2:
-                raise LinkContradiction(f"face {face} shares {sorted(shared)} with {g}")
-            e = oriented_edge(*shared)
-            g_edges = {oriented_edge(g[i], g[(i + 1) % len(g)]) for i in range(len(g))}
-            if e not in edge_set or e not in g_edges:
                 raise LinkContradiction(
-                    f"faces {face} and {g} share two vertices not forming a common edge")
+                    f"vertex {v} has no remaining {size}-gon slot", "slot")
+
+        for e, fs in zip(edges, uses):
+            if len(fs) >= 2:
+                raise LinkContradiction(f"edge {e} already lies in 2 faces", "edge")
+        # The edge check leaves each corner end (a, b) new to v's link or an
+        # arc end; x and y are the far ends of their arcs.
+        corners = []
+        for i, v in enumerate(face):
+            a, b = face[i - 1], face[(i + 1) % size]
+            ends = self.arcs.get(v, {})
+            x, y = ends.get(a, a), ends.get(b, b)
+            count = len(self.vertex_faces.get(v, ())) + 1
+            if x != b:
+                if count >= self.degree:
+                    raise LinkContradiction(
+                        f"vertex {v} used its {self.degree} corners without closing")
+            elif len(ends) > 2:
+                raise LinkContradiction(f"link of vertex {v} closed a premature cycle")
+            elif count != self.degree:
+                raise LinkContradiction(f"link of vertex {v} closed with {count} corners")
+            corners.append((v, a, b, x, y))
+
+        # Only faces at the new face's vertices can meet it.
+        shared: dict[int, int] = {}
+        for v in face:
+            for fi in self.vertex_faces.get(v, ()):
+                shared[fi] = shared.get(fi, 0) + 1
+        on_edges = {fi for fs in uses for fi in fs}
+        for fi, count in shared.items():
+            g = self.faces[fi]
+            if count > 2:
+                raise LinkContradiction(
+                    f"face {face} shares {sorted(set(face) & set(g))} with {g}",
+                    "intersection")
+            if count == 2 and fi not in on_edges:
+                raise LinkContradiction(
+                    f"faces {face} and {g} share two vertices not forming a common edge",
+                    "intersection")
+
+        undo: list[tuple[dict, object, object]] = []  # (dict, key, old value or None)
+
+        def put(d: dict, k, value) -> None:
+            undo.append((d, k, d.get(k)))
+            d[k] = value
 
         idx = len(self.faces)
         self.faces.append(face)
-        self.face_keys.add(key)
-        for e in edges:
-            self.edge_use[e] = self.edge_use.get(e, ()) + (idx,)
-        for v in face:
-            self.vertex_faces[v] = self.vertex_faces.get(v, ()) + (idx,)
-            counts = self.size_used.setdefault(v, {})
-            counts[size] = counts.get(size, 0) + 1
-        for v in face:
-            self._check_link(v)
+        for e, fs in zip(edges, uses):
+            put(edge_use, e, fs + (idx,))
+        for v, a, b, x, y in corners:
+            put(self.vertex_faces, v, self.vertex_faces.get(v, ()) + (idx,))
+            if v not in self.size_used:
+                put(self.size_used, v, {})
+                put(self.arcs, v, {})
+            counts, ends = self.size_used[v], self.arcs[v]
+            put(counts, size, counts.get(size, 0) + 1)
+            for k in (a, b):
+                if k in ends:
+                    undo.append((ends, k, ends.pop(k)))
+            if x != b:
+                put(ends, x, y)
+                put(ends, y, x)
+        self._trail.append(undo)
 
-    def _check_link(self, v: int) -> None:
-        """Corners at v must form disjoint arcs, or one full closing cycle."""
-        corners = self.corners_at(v)
-        count = len(corners)
-        deg: dict[int, int] = {}
-        for a, b in corners:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        if any(c > 2 for c in deg.values()):
-            raise LinkContradiction(f"three faces on one edge at vertex {v}")
-        closed = all(c == 2 for c in deg.values())
-        # Union-find over link vertices to find corner components.
-        parent: dict[int, int] = {x: x for x in deg}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        cyclic = 0
-        for a, b in corners:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                cyclic += 1
+    def pop_face(self) -> Face:
+        """Undo the last :meth:`add_face` exactly and return its face."""
+        for d, k, old in reversed(self._trail.pop()):
+            if old is None:
+                del d[k]
             else:
-                parent[ra] = rb
-        components = len({find(x) for x in deg})
-        if closed:
-            if count != self.degree or components != 1 or cyclic != 1:
-                raise LinkContradiction(
-                    f"link of vertex {v} closed with {count} corners in "
-                    f"{components} component(s)")
-        else:
-            if cyclic:
-                raise LinkContradiction(f"link of vertex {v} closed a premature cycle")
-            if count >= self.degree:
-                raise LinkContradiction(
-                    f"vertex {v} used its {self.degree} corners without closing")
+                d[k] = old
+        return self.faces.pop()
 
     def to_map(self, name: str = "") -> PolyhedralMap:
         return PolyhedralMap(self.faces, n=self.n, name=name)
@@ -206,14 +225,16 @@ def assume_link(partial: PartialMap, v: int, link: VertexLink) -> PartialMap:
     """
     out = partial.copy()
     link_keys = {normalize_face((v,) + c) for c in link.corners}
+    committed = set()
     for fi in out.vertex_faces.get(v, ()):
-        if normalize_face(out.faces[fi]) not in link_keys:
+        key = normalize_face(out.faces[fi])
+        if key not in link_keys:
             raise LinkContradiction(
                 f"committed face {out.faces[fi]} is not part of the asserted link of {v}")
+        committed.add(key)
     for face in link.faces():
-        if normalize_face(face) in out.face_keys:
-            continue
-        out.add_face(face)
+        if normalize_face(face) not in committed:
+            out.add_face(face)
     return out
 
 
@@ -286,17 +307,12 @@ def seed_partial(seq: FaceSequence, chi: int,
 def _site(partial: PartialMap) -> tuple[int, int]:
     """Most constrained open site: the vertex with the fewest remaining
     corners (then smallest label), and its smallest open edge."""
-    best = None
-    for a, b in partial.open_edges():
-        for v, w in ((a, b), (b, a)):
-            remaining = partial.degree - len(partial.vertex_faces.get(v, ()))
-            key = (remaining, v, w)
-            if best is None or key < best:
-                best = key
+    faces_at = partial.vertex_faces
+    best = min(((-len(faces_at[v]), v, w) for (a, b), fs in partial.edge_use.items()
+                if len(fs) == 1 for v, w in ((a, b), (b, a))), default=None)
     if best is None:
         raise LinkContradiction("no open edges")
-    _, v, w = best
-    return v, w
+    return best[1], best[2]
 
 
 def _candidate_faces(partial: PartialMap, v: int, w: int):
@@ -347,12 +363,13 @@ def _complete(partial: PartialMap, stats: SearchStats, emit, max_nodes: int | No
         return
     v, w = _site(partial)
     for face in _candidate_faces(partial, v, w):
-        child = partial.copy()
         try:
-            child.add_face(face)
-        except LinkContradiction:
+            partial.add_face(face)
+        except LinkContradiction as exc:
+            stats.pruned[exc.reason] += 1
             continue
-        _complete(child, stats, emit, max_nodes)
+        _complete(partial, stats, emit, max_nodes)
+        partial.pop_face()
 
 
 def complete_search(partial: PartialMap, max_nodes: int | None = None
@@ -374,7 +391,7 @@ def complete_search(partial: PartialMap, max_nodes: int | None = None
         stats.solutions += 1
         found.append(m)
 
-    _complete(partial, stats, emit, max_nodes)
+    _complete(partial.copy(), stats, emit, max_nodes)
     stats.seconds = time.perf_counter() - t0
     return found, stats
 
@@ -408,6 +425,8 @@ def enumerate_sems(seq: FaceSequence, chi: int, seed: str = "link",
         stats.nodes += sub.nodes
         stats.solutions += sub.solutions
         stats.exhausted = stats.exhausted and sub.exhausted
+        for reason, count in sub.pruned.items():
+            stats.pruned[reason] += count
         for m in found:
             # No chi check: valid maps of one type have chi = n * curvature(type).
             if semi_equivelar_type(m) != seq:

@@ -158,7 +158,7 @@ def cmd_enumerate(args) -> int:
     stats_payload = {
         "nodes": stats.nodes, "solutions": stats.solutions,
         "classes": stats.classes, "seconds": round(stats.seconds, 3),
-        "exhausted": stats.exhausted,
+        "exhausted": stats.exhausted, "pruned": stats.pruned,
     }
     if stats.reason:
         stats_payload["reason"] = stats.reason

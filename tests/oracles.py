@@ -96,3 +96,70 @@ def edge_count_oracle(m: PolyhedralMap) -> int:
             a, b = face[i], face[(i + 1) % k]
             pairs.add((min(a, b), max(a, b)))
     return len(pairs)
+
+
+def partial_map_admits(faces, face, n: int, target) -> bool:
+    """Whether ``faces`` plus ``face`` is still a partial map of type
+    ``target`` on labels ``0..n-1``, read off the raw face lists.
+
+    Every face has a size of the type, distinct labels in range; no edge
+    lies in more than two faces; two faces share at most one vertex, or
+    exactly the two ends of an edge of both; no vertex exceeds its count
+    of faces of any size; and the corners at each vertex (the two
+    neighbours of the vertex in each face) form disjoint paths of fewer
+    than ``degree`` corners, or one cycle of exactly ``degree`` corners.
+    """
+    sizes = dict(target.entries)
+    degree = sum(sizes.values())
+    every = [tuple(f) for f in faces] + [tuple(face)]
+
+    def edges_of(f):
+        return {frozenset((f[i], f[(i + 1) % len(f)])) for i in range(len(f))}
+
+    use: dict[frozenset, int] = {}
+    for f in every:
+        if len(f) not in sizes or len(set(f)) != len(f):
+            return False
+        if any(v < 0 or v >= n for v in f):
+            return False
+        for e in edges_of(f):
+            use[e] = use.get(e, 0) + 1
+    if any(count > 2 for count in use.values()):
+        return False
+    for i, f in enumerate(every):
+        for g in every[:i]:
+            shared = set(f) & set(g)
+            if len(shared) > 2:
+                return False
+            if len(shared) == 2 and frozenset(shared) not in edges_of(f) & edges_of(g):
+                return False
+    for v in range(n):
+        at_v = [f for f in every if v in f]
+        if any(sum(len(f) == s for f in at_v) > mult for s, mult in sizes.items()):
+            return False
+        corners = [(f[f.index(v) - 1], f[(f.index(v) + 1) % len(f)]) for f in at_v]
+        neighbours: dict[int, set] = {}
+        for a, b in corners:
+            neighbours.setdefault(a, set()).add(b)
+            neighbours.setdefault(b, set()).add(a)
+        cycles = 0
+        unseen = set(neighbours)
+        while unseen:
+            stack = [unseen.pop()]
+            part = set(stack)
+            while stack:
+                for y in neighbours[stack.pop()]:
+                    if y not in part:
+                        part.add(y)
+                        stack.append(y)
+            unseen -= part
+            corner_count = sum(a in part for a, _ in corners)
+            if corner_count == len(part):
+                cycles += 1
+            elif corner_count != len(part) - 1:
+                return False
+        if cycles and (cycles > 1 or len(corners) != degree or len(neighbours) != degree):
+            return False
+        if not cycles and len(corners) >= degree:
+            return False
+    return True

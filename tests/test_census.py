@@ -1,5 +1,12 @@
-import pytest
+import copy
+import inspect
+import sys
+import types
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from oracles import partial_map_admits
 from semap import (
     FaceSequence,
     LinkContradiction,
@@ -17,6 +24,8 @@ from semap import (
     semi_equivelar_type,
     surface_profile,
 )
+from semap import census
+from semap.census import PRUNE_REASONS
 
 T354 = FaceSequence.from_string("3^5,4")
 
@@ -173,6 +182,107 @@ def test_copy_isolates_state():
     assert len(q.faces) == 7
 
 
+def test_searches_leave_their_argument_unchanged():
+    partial = seed_partial(T354, -1)
+    before = copy.deepcopy(vars(partial))
+    complete_search(partial, max_nodes=300)
+    assert vars(partial) == before
+    assume_link(partial, 2, VertexLink.from_notation(2, "C7([3, 4, 0], 1, 8, 6, 5)"))
+    assert vars(partial) == before
+    with pytest.raises(LinkContradiction):
+        assume_link(partial, 2, VertexLink.from_notation(2, "C7([5, 6, 7], 8, 9, 1, 0)"))
+    assert vars(partial) == before
+
+
+# Faces that close vertex links: the octahedron (4 corners at a vertex), the
+# tetrahedron (3) and the (3^5,4) seed link of vertex 0 on labels 0..7 (6).
+OCTAHEDRON = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
+              (5, 1, 2), (5, 2, 3), (5, 3, 4), (5, 4, 1)]
+TETRAHEDRON = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 2, 3)]
+SEED_FACES = list(seed_link((4, 3, 3, 3, 3, 3)).faces())
+
+
+@st.composite
+def face_ops(draw):
+    """A target, a vertex count n <= 10 and a list of faces to add, None
+    standing for a pop: one or two relabelled closing patterns, shuffled
+    together, with random faces (sizes 3..5, labels 0..n) and pops mixed in."""
+    seq = FaceSequence.from_string(draw(st.sampled_from(["3^5,4", "3^4"])))
+    n = draw(st.integers(8, 10))
+    faces = []
+    for pattern in draw(st.lists(st.sampled_from([OCTAHEDRON, TETRAHEDRON, SEED_FACES]),
+                                 min_size=1, max_size=2)):
+        perm = draw(st.permutations(range(n)))
+        faces += [tuple(perm[v] for v in f) for f in pattern]
+    ops = draw(st.permutations(faces))
+    random_face = st.lists(st.integers(0, n), min_size=3, max_size=5).map(tuple)
+    for _ in range(draw(st.integers(0, 6))):
+        ops.insert(draw(st.integers(0, len(ops))), draw(st.one_of(random_face, st.none())))
+    return seq, n, ops
+
+
+def check_engine(engine, seq, n, ops):
+    """``add_face`` accepts exactly what the oracle admits, a refusal
+    changes nothing, and each ``pop_face`` restores the state before its add."""
+    p = engine.PartialMap(n, seq)
+    faces, before = [], []
+    for face in ops:
+        if face is None:
+            if faces:
+                assert p.pop_face() == faces.pop()
+                assert vars(p) == before.pop()
+            continue
+        snapshot = copy.deepcopy(vars(p))
+        try:
+            p.add_face(face)
+        except engine.LinkContradiction as exc:
+            assert exc.reason in PRUNE_REASONS
+            assert not partial_map_admits(faces, face, n, seq), (faces, face)
+            assert vars(p) == snapshot
+            continue
+        assert partial_map_admits(faces, face, n, seq), (faces, face)
+        faces.append(face)
+        before.append(snapshot)
+    while faces:
+        assert p.pop_face() == faces.pop()
+        assert vars(p) == before.pop()
+
+
+# The last seed face closes vertex 0 with its 6th corner (accepted); the
+# third tetrahedron face closes vertex 0 with its 3rd of 4 (refused).
+CLOSING_EXAMPLES = [
+    (T354, 8, SEED_FACES + [None] + SEED_FACES[-1:]),
+    (FaceSequence.from_string("3^4"), 8, TETRAHEDRON),
+]
+
+
+@given(face_ops())
+@settings(max_examples=300, deadline=None)
+@example(CLOSING_EXAMPLES[0])
+@example(CLOSING_EXAMPLES[1])
+def test_add_face_agrees_with_oracle(case):
+    check_engine(census, *case)
+
+
+def mutant_engine(monkeypatch, old, new):
+    source = inspect.getsource(census)
+    assert source.count(old) == 1
+    module = types.ModuleType("semap.census_mutant")
+    module.__package__ = "semap"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source.replace(old, new), module.__name__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("off_by", ["+ 1", "- 1"])
+def test_oracle_check_catches_off_by_one_closing(monkeypatch, off_by):
+    mutant = mutant_engine(monkeypatch, "count != self.degree:",
+                           f"count != self.degree {off_by}:")
+    with pytest.raises(AssertionError):
+        for case in CLOSING_EXAMPLES:
+            check_engine(mutant, *case)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -253,3 +363,21 @@ def test_node_budget_reports_partial_coverage():
     maps, stats = enumerate_sems(T354, -1, max_nodes=50)
     assert not stats.exhausted
     assert stats.nodes <= 50
+
+
+def test_prune_counts_account_for_every_candidate(monkeypatch):
+    tried = 0
+    candidates = census._candidate_faces
+
+    def counted(partial, v, w):
+        nonlocal tried
+        out = candidates(partial, v, w)
+        tried += len(out)
+        return out
+
+    monkeypatch.setattr(census, "_candidate_faces", counted)
+    _, stats = enumerate_sems(T354, -1)
+    assert stats.exhausted
+    assert list(stats.pruned) == list(PRUNE_REASONS)
+    # every candidate is either refused for one reason or becomes a node
+    assert sum(stats.pruned.values()) + stats.nodes - 1 == tried

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 from semap import parse_map, validate, are_isomorphic
+from semap.census import PRUNE_REASONS
 from semap.cli import main
 
 
@@ -78,6 +79,18 @@ def test_enumerate_text_output(capsys, k1, k2, k3):
     assert stats_line
     stats = json.loads(stats_line[0].split(":", 1)[1])
     assert stats["classes"] == 3
+    assert list(stats["pruned"]) == list(PRUNE_REASONS)
+    assert sum(stats["pruned"].values()) > 0
+
+
+def test_enumerate_json_stats_count_prune_reasons(capsys):
+    code, out, _ = run(capsys, "enumerate", "--type", "3^5,4", "--chi", "-1",
+                       "--max-nodes", "50", "--format", "json")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert not stats["exhausted"]
+    assert list(stats["pruned"]) == list(PRUNE_REASONS)
+    assert stats["pruned"]["link"] > 0
 
 
 def test_enumerate_impossible(capsys):
