@@ -91,10 +91,6 @@ class PolyhedralMap:
         return tuple(normalize_face(f) for f in self.faces)
 
     @cached_property
-    def face_key_set(self) -> frozenset[Face]:
-        return frozenset(self.face_keys)
-
-    @cached_property
     def edge_faces(self) -> dict[Edge, tuple[int, ...]]:
         """Edge -> indices of the faces whose boundary traverses it."""
         acc: dict[Edge, list[int]] = {}
@@ -102,10 +98,6 @@ class PolyhedralMap:
             for e in face_edges(face):
                 acc.setdefault(e, []).append(i)
         return {e: tuple(v) for e, v in acc.items()}
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edge_faces))
 
     @cached_property
     def vertex_faces(self) -> dict[int, tuple[int, ...]]:

@@ -12,16 +12,21 @@ least code; two maps get equal forms iff some flag of one walks exactly
 like some flag of the other, which is precisely an isomorphism.  Roots
 with minimal code are in bijection with the automorphism group (an
 automorphism fixing a flag is the identity).
+
+The canonical data of a map (form, relabeled faces, one labeling per
+minimal root) is computed at most once per :class:`PolyhedralMap` object
+and stored on that object, so every entry point shares it and it is freed
+with the map; no module-level cache holds maps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     Edge, Face, PolyhedralMap, components, flags, normalize_face, oriented_edge, require_closed,
+    vertex_link,
 )
 
 
@@ -92,8 +97,6 @@ def neighbor_set(m: PolyhedralMap, v: int) -> frozenset[int]:
 def link_vertex_set(m: PolyhedralMap, v: int) -> frozenset[int]:
     """Vertices on the link cycle of ``v``: neighbors plus, for every
     larger face at ``v``, the boundary vertices opposite the corner."""
-    from .core import vertex_link
-
     return frozenset(vertex_link(m, v).link_vertices)
 
 
@@ -252,9 +255,14 @@ def _compute_canonical(m: PolyhedralMap) -> CanonData:
     )
 
 
-@lru_cache(maxsize=512)
-def _canonical_cached(m: PolyhedralMap) -> CanonData:
-    return _compute_canonical(m)
+def _canonical_data(m: PolyhedralMap) -> CanonData:
+    """The canonical data of ``m``, computed once per map object and stored
+    in its ``__dict__`` (as :func:`functools.cached_property` stores the
+    map's own tables), so it is freed together with the map."""
+    data = m.__dict__.get("_canon_data")
+    if data is None:
+        data = m.__dict__["_canon_data"] = _compute_canonical(m)
+    return data
 
 
 def canonical_form(m: PolyhedralMap) -> bytes:
@@ -262,14 +270,16 @@ def canonical_form(m: PolyhedralMap) -> bytes:
 
     Raises :class:`ValueError` unless the map is closed and connected, with
     every vertex on a face; :func:`automorphism_group` and
-    :func:`is_vertex_transitive` share this precondition.
+    :func:`is_vertex_transitive` share this precondition.  The result is
+    memoised on ``m`` itself, not in a global cache: it lives exactly as
+    long as the map object, and an equal but distinct map computes its own.
     """
-    return _canonical_cached(m).form
+    return _canonical_data(m).form
 
 
 def canonical_map(m: PolyhedralMap) -> PolyhedralMap:
     """The canonically relabeled representative of the isomorphism class."""
-    data = _canonical_cached(m)
+    data = _canonical_data(m)
     return PolyhedralMap(data.canonical_faces, n=m.n, name=m.name)
 
 
@@ -281,8 +291,8 @@ def isomorphism(m1: PolyhedralMap, m2: PolyhedralMap) -> dict[int, int] | None:
     """
     if m1.n != m2.n or len(m1.faces) != len(m2.faces):
         return None
-    d1 = _canonical_cached(m1)
-    d2 = _canonical_cached(m2)
+    d1 = _canonical_data(m1)
+    d2 = _canonical_data(m2)
     if d1.form != d2.form:
         return None
     lab1 = d1.labelings[0]
@@ -333,7 +343,7 @@ def _closure(gens: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
 
 def automorphism_group(m: PolyhedralMap) -> AutomorphismGroup:
     """Vertex permutations preserving the face set, one per minimal flag."""
-    data = _canonical_cached(m)
+    data = _canonical_data(m)
     lab0 = data.labelings[0]
     face_keys = set(m.face_keys)
     elements = []

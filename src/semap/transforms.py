@@ -306,21 +306,16 @@ def _infer_kind(base_type: FaceSequence, target_type: FaceSequence) -> str | Non
     return None
 
 
-def _search_units(base_maps, target_type, target_chi, kind):
-    """Deterministic stream of work units: (names, faces, n, pairing).
+def _combo_units(base_maps, target_type, target_chi, kind):
+    """Deterministic stream of work units, each with its base multiset:
+    (combo, (names, faces, n, pairing)), ``combo`` a sorted tuple of
+    indices into ``base_maps``.
 
     A unit fixes the base multiset and one admissible pairing of cylinder
     sites; the gluing choices remain to be enumerated.  Units from
     different base multisets are interleaved round-robin so truncated
     searches still sample every combination of bases.
     """
-    for _, unit in _combo_units(base_maps, target_type, target_chi, kind):
-        yield unit
-
-
-def _combo_units(base_maps, target_type, target_chi, kind):
-    """The stream of :func:`_search_units`, each unit with its base multiset
-    (a sorted tuple of indices into ``base_maps``)."""
     per_task: list[tuple[tuple[int, ...], list[tuple]]] = []
     target_n = sem_vertex_count(target_type, target_chi)
     max_copies = max(1, target_n // min(b.n for b in base_maps))
@@ -605,7 +600,7 @@ def cylinder_search(
     if jobs > 1 and len(units) > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with cf.ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
             outputs = list(pool.map(run, units, moves))
     else:
         outputs = list(map(run, units, moves))

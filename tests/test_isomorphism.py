@@ -1,4 +1,7 @@
+import gc
+import importlib
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -217,6 +220,37 @@ def test_canonical_map_is_isomorphic_representative(k1):
     assert validate(rep).ok
     assert are_isomorphic(rep, k1)
     assert canonical_form(rep) == canonical_form(k1)
+
+
+def test_canonical_data_is_freed_with_its_map(k1):
+    m, _ = shuffled(k1, random.Random(11))
+    ref = weakref.ref(m)
+    canonical_form(m)
+    automorphism_group(m)
+    assert isomorphism(m, m) is not None
+    del m
+    gc.collect()
+    assert ref() is None
+
+
+def test_canonical_data_is_computed_once_per_map(k1, monkeypatch):
+    # the package attribute ``isomorphism`` is the function, not the module
+    iso = importlib.import_module("semap.isomorphism")
+    calls = []
+    compute = iso._compute_canonical
+
+    def counting(m):
+        calls.append(m)
+        return compute(m)
+
+    monkeypatch.setattr(iso, "_compute_canonical", counting)
+    m, _ = shuffled(k1, random.Random(12))
+    canonical_form(m)
+    canonical_map(m)
+    isomorphism(m, m)
+    automorphism_group(m)
+    is_vertex_transitive(m)
+    assert len(calls) == 1 and calls[0] is m
 
 
 # ---------------------------------------------------------------------------

@@ -278,11 +278,35 @@ def test_search_is_deterministic_and_job_independent(k1, k3):
     assert one[2].classes == two[2].classes
 
 
+def test_search_pool_has_no_more_workers_than_units(k1, monkeypatch):
+    import concurrent.futures as cf
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", SerialPool)
+    _, _, stats = cylinder_search([k1], T45, -8, max_candidates=1024, jobs=64)
+    assert (stats.bundles, stats.covered_units) == (2, 0)
+    assert started == [2]
+
+
 @pytest.mark.parametrize("kind, target, chi", [("quad", T45, -8), ("tri", T37, -10)])
 def test_screen_accepts_exactly_the_valid_gluings(k1, kind, target, chi):
-    from semap.transforms import _apply_bundle, _feasible_gluings, _gluings, _search_units
+    from semap.transforms import _apply_bundle, _combo_units, _feasible_gluings, _gluings
 
-    unit = next(_search_units([k1], target, chi, kind))
+    _, unit = next(_combo_units([k1], target, chi, kind))
     _, faces, n, pairing = unit
     feasible = _feasible_gluings(unit, kind)
     accepted = 0
@@ -299,10 +323,10 @@ def test_screen_accepts_exactly_the_valid_gluings(k1, kind, target, chi):
 def _unreduced_forms(bases, target, chi, kind, max_candidates):
     """Canonical forms of every valid gluing of every admitted unit, no
     symmetry used, and the number of gluings built."""
-    from semap.transforms import _apply_bundle, _gluings, _search_units
+    from semap.transforms import _apply_bundle, _combo_units, _gluings
 
     forms, built, spent = set(), 0, 0
-    for _, faces, n, pairing in _search_units(bases, target, chi, kind):
+    for _, (_, faces, n, pairing) in _combo_units(bases, target, chi, kind):
         spent += len(_gluings(kind)) ** len(pairing)
         if spent > max_candidates:
             break
