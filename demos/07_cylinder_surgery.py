@@ -31,9 +31,10 @@ print("   face-sequence classes:",
       {str(seq): len(vs) for seq, vs in face_sequence_classes(partial).items()})
 
 # Consuming every quadrangle makes the type uniform.  The search tries
-# every pairing of the six quadrangles and every boundary alignment,
-# validates each result, and keeps one representative per isomorphism
-# class.  A small candidate budget already finds plenty.
+# every pairing of the six quadrangles and every boundary alignment whose
+# walls fit the surviving faces (each such gluing of valid bases is valid
+# by construction), and keeps one representative per isomorphism class.
+# A small candidate budget already finds plenty.
 quad_maps, quad_notes, quad_stats = cylinder_search(
     [k1, k2, k3], FaceSequence.from_string("3^5,4^2"), -8, max_candidates=4096)
 print(f"\n(3^5, 4^2) on chi=-8: {quad_stats.classes} classes from "

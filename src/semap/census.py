@@ -27,7 +27,6 @@ from .core import (
     face_edges,
     normalize_face,
     sem_vertex_count,
-    semi_equivelar_type,
     validate,
 )
 from .isomorphism import canonical_form
@@ -427,10 +426,11 @@ def enumerate_sems(seq: FaceSequence, chi: int, seed: str = "link",
         stats.exhausted = stats.exhausted and sub.exhausted
         for reason, count in sub.pruned.items():
             stats.pruned[reason] += count
+        # No type filter: an emitted map has type ``seq``.  It uses every
+        # vertex, closes each link at exactly ``degree`` corners and keeps
+        # each size count within its budget, so every count meets it.  With
+        # n fixed, the type fixes chi.
         for m in found:
-            # No chi check: valid maps of one type have chi = n * curvature(type).
-            if semi_equivelar_type(m) != seq:
-                continue
             form = canonical_form(m)
             if form not in seen:
                 seen.add(form)

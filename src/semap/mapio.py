@@ -105,6 +105,16 @@ def map_to_json(m: PolyhedralMap) -> dict:
     }
 
 
+def _int_labels(seq, what: str) -> tuple[int, ...]:
+    """``seq`` as a tuple of labels, each a plain ``int`` (not a bool, float
+    or string, which Python would otherwise compare or coerce as one)."""
+    labels = tuple(seq)
+    for v in labels:
+        if type(v) is not int:
+            raise MapFormatError(f"JSON {what} has a non-integer label {v!r}")
+    return labels
+
+
 def map_from_json(obj) -> PolyhedralMap:
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -115,9 +125,11 @@ def map_from_json(obj) -> PolyhedralMap:
     except (TypeError, KeyError) as exc:
         raise MapFormatError(f"JSON map needs name/vertices/faces: {exc}") from exc
     try:
+        vertices = _int_labels(vertices, "'vertices'")
         if sorted(vertices) != list(range(len(vertices))):
             raise MapFormatError("JSON 'vertices' must be the labels 0..n-1")
-        return PolyhedralMap([tuple(f) for f in faces], n=len(vertices), name=str(name))
+        faces = [_int_labels(f, f"face #{i}") for i, f in enumerate(faces)]
+        return PolyhedralMap(faces, n=len(vertices), name=str(name))
     except TypeError as exc:
         raise MapFormatError(f"JSON map has a field of the wrong type: {exc}") from exc
 

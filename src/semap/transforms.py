@@ -236,8 +236,8 @@ class CylinderSearchStats:
     bundles: int = 0
     covered_units: int = 0   # bundles not run: a symmetry maps them onto an earlier one
     candidates: int = 0      # gluing combinations examined
-    built: int = 0           # orbit-least gluings constructed and validated
-    valid: int = 0
+    built: int = 0           # orbit-least gluings constructed
+    valid: int = 0           # always equals ``built``: every screened gluing is valid
     classes: int = 0
     exhausted: bool = True
     seconds: float = 0.0
@@ -400,6 +400,41 @@ def _feasible_gluings(unit, kind: str) -> list[list[tuple[int, bool]]]:
     surviving face also holds such a cross pair, it meets the wall face in
     two vertices that are not a shared edge, or puts an edge in three
     faces, so validation must fail.
+
+    The screen is also sufficient: every combination of screened gluings
+    gives a valid map of the target type.  Assume the bases are valid maps
+    of the base type, the sites are pairwise vertex-disjoint, the pairing
+    joins every base to the first, and no surviving face holds a cross
+    pair of a wall of its own pair.  Walls of different pairs then share no
+    vertex, and each axiom ``validate`` checks holds:
+
+    - Edge degree.  An edge on no site keeps its two faces of the bases.
+      A site edge keeps its neighbour across it (not a site: sites are
+      disjoint) and lies in exactly one wall.  A cross edge lies in exactly
+      two walls of its pair, and in no surviving face or site.
+    - Face intersection.  A surviving face meets a wall on one side only
+      (the screen), so inside the wall's part on that side: a vertex, or
+      an edge of both the wall and the site.  The face met the site in
+      nothing, a vertex or a common edge (the bases are valid), so it
+      meets the wall in nothing, a vertex or a common edge.  Walls of one
+      pair meet as in a cylinder; walls of different pairs are disjoint.
+    - Links.  At a vertex on no site nothing changes.  At a site vertex
+      the walls replace the removed corner by one path of walls between
+      the same two site edges; its inner edges are cross edges, which lie
+      in walls only, so the faces around the vertex still form one cycle.
+    - Connectivity.  Each valid base is connected, keeps all its edges,
+      and the cross edges join the bases as the pairing does.
+    - Type.  Every vertex lies on exactly one site (below), so it loses
+      one face and gains two quadrangles (one net) or three triangles (two
+      net): the base type becomes the target type.
+
+    Disjoint sites, one at every vertex, are forced, not assumed.  Triangle
+    sites are vertex partitions.  A quad unit uses all quadrangles.  Each
+    quad cylinder lowers chi by 2, and on n vertices the target type has
+    chi lower than the base type by n/4 (curvature 1/4 less per vertex),
+    so a unit has n/4 sites; the bases hold m4 * n/4 quadrangles when each
+    vertex lies on m4.  Units therefore exist only for m4 = 1, one
+    quadrangle at every vertex.
     """
     _, faces, n, pairing = unit
     removed = {normalize_face(f) for pair in pairing for f in pair}
@@ -434,12 +469,7 @@ class _BaseSymmetry:
 
     def __init__(self, base_maps, combo):
         offsets = list(accumulate((base_maps[i].n for i in combo), initial=0))
-        autos = []
-        for i in combo:
-            try:
-                autos.append(automorphism_group(base_maps[i]).elements)
-            except ValueError:  # no canonical form (e.g. disconnected): identity only
-                autos.append((tuple(range(base_maps[i].n)),))
+        autos = [automorphism_group(base_maps[i]).elements for i in combo]
         # Copies of one base are consecutive in ``combo``; each block is
         # permuted among itself.
         blocks = [list(g) for _, g in groupby(range(len(combo)), key=combo.__getitem__)]
@@ -496,13 +526,13 @@ def _orbit_least(choice: tuple, moves) -> bool:
     return True
 
 
-def _run_unit(unit, moves, kind: str, target_entries: tuple) -> dict:
-    """Try the orbit-least gluings of one unit; return valid candidates with forms.
+def _run_unit(unit, moves, kind: str) -> dict:
+    """Build the orbit-least gluings of one unit; return them with forms.
 
-    Gluings are screened per cylinder first (:func:`_feasible_gluings`), so
-    only combinations of individually feasible gluings are considered, and
-    only those that no symmetry in ``moves`` maps onto an earlier one are
-    constructed.
+    Gluings are screened per cylinder (:func:`_feasible_gluings`), which
+    makes every combination of feasible gluings a valid map of the target
+    type, and only those that no symmetry in ``moves`` maps onto an earlier
+    one are constructed.
     """
     names, faces, n, pairing = unit
     gluings = _gluings(kind)
@@ -519,12 +549,6 @@ def _run_unit(unit, moves, kind: str, target_entries: tuple) -> dict:
             for (a, b), g in zip(pairing, choice)
         )
         cand = PolyhedralMap(_apply_bundle(faces, specs), n=n)
-        if not validate(cand).ok:
-            continue
-        # No chi check: valid maps of one type have chi = n * curvature(type).
-        t = semi_equivelar_type(cand)
-        if t is None or t.entries != target_entries:
-            continue
         found.append((canonical_form(cand), cand.faces, specs))
     return {"names": names, "n": n, "built": built, "found": found}
 
@@ -545,12 +569,18 @@ def cylinder_search(
     every vertex once when it gains two triangles.  Symmetries of the
     bases (automorphisms of each copy, swaps of copies of one base) skip
     every bundle and every gluing they map onto an earlier one
-    (:class:`_BaseSymmetry`); each remaining gluing is applied, results are
-    filtered by validation and semi-equivelar type (with the vertex count
-    fixed, these fix chi) and de-duplicated by canonical form, one
+    (:class:`_BaseSymmetry`); each remaining gluing that passes the
+    per-cylinder screen is applied and de-duplicated by canonical form, one
     representative per isomorphism class.  The first gluing to reach a
     class is never skipped, so the result list and its provenance are
     those of the unreduced search.
+
+    Every built gluing is a valid map of the target type, with chi fixed
+    by the vertex count: the bases are validated once, up front, and the
+    screen is proved sufficient for valid bases in
+    :func:`_feasible_gluings`.  So ``stats.valid`` equals ``stats.built``.
+    An invalid base, or bases of different types, raise
+    :class:`TransformError`.
 
     ``max_candidates`` truncates the deterministic candidate stream (at
     work-unit granularity, skipped bundles included); ``stats.exhausted``
@@ -562,6 +592,12 @@ def cylinder_search(
     results: list[PolyhedralMap] = []
     notes: list[CylinderProvenance] = []
     seen: set[bytes] = set()
+
+    for i, b in enumerate(base_maps):
+        report = validate(b)
+        if not report.ok:
+            raise TransformError(
+                f"base {b.name or f'#{i}'} is not a valid map: {report.violations[0]}")
 
     try:
         sem_vertex_count(target_type, target_chi)
@@ -596,7 +632,7 @@ def cylinder_search(
         units.append(unit)
         moves.append(unit_moves)
 
-    run = partial(_run_unit, kind=kind, target_entries=target_type.entries)
+    run = partial(_run_unit, kind=kind)
     if jobs > 1 and len(units) > 1:
         import concurrent.futures as cf
 

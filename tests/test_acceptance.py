@@ -200,11 +200,10 @@ def test_criterion_5_cylinder_families():
     assert quad_stats.exhausted
     assert len(quad_maps) >= 10, f"only {len(quad_maps)} quad classes"
     forms = set()
-    for m in quad_maps[:25]:
+    for m in quad_maps:
         assert validate(m).ok
         assert semi_equivelar_type(m) == T3542
         assert surface_profile(m).euler_characteristic == -8
-    for m in quad_maps:
         forms.add(canonical_form(m))
     assert len(forms) == len(quad_maps), "quad classes are not pairwise distinct"
     assert len(quad_maps) == 3002

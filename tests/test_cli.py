@@ -145,6 +145,16 @@ def test_cylinder_search_json(capsys):
     assert payload["provenance"][0]["specs"]
 
 
+def test_cylinder_search_refuses_an_invalid_base(tmp_path, capsys):
+    bad = tmp_path / "bad.map"
+    bad.write_text("map broken vertices=3\nf 0 1 2\n")
+    code, out, err = run(capsys, "cylinder-search", "--type", "3^5,4^2",
+                         "--chi", "-8", "--bases", f"k1,{bad}")
+    assert code == 2
+    assert out == ""
+    assert "base broken is not a valid map: [edge-degree]" in err
+
+
 def test_cylinder_search_text_stats_count_covered_units(capsys):
     # one of the first three [K1] bundles is the image of an earlier one
     code, out, _ = run(capsys, "cylinder-search", "--type", "3^5,4^2",

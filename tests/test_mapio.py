@@ -121,6 +121,16 @@ def test_json_mirror_validates_shape():
         map_from_json({"name": "x", "vertices": [1, 2, 3], "faces": []})
     with pytest.raises(MapFormatError):
         map_from_json({"name": "x", "vertices": [0, 1, 2], "faces": [[0, 1, None]]})
+    # labels that compare or coerce as integers are not integers
+    tetra = [[0, 1, 2], [0, 3, 1], [1, 3, 2], [0, 2, 3]]
+    for bad in ([[0, 1.9, 2], [0, "3", 1], [True, 2, 3], [0, 2, 3]],
+                [[0, 1.0, 2]] + tetra[1:], ["012"] + tetra[1:]):
+        with pytest.raises(MapFormatError, match="non-integer label"):
+            map_from_json({"name": "x", "vertices": [0, 1, 2, 3], "faces": bad})
+    for vertices in ([0, 1.0, 2, 3], [False, True, 2, 3], [0, 1, 2, "3"]):
+        with pytest.raises(MapFormatError, match="non-integer label"):
+            map_from_json({"name": "x", "vertices": vertices, "faces": tetra})
+    assert validate(map_from_json({"name": "x", "vertices": [0, 1, 2, 3], "faces": tetra})).ok
 
 
 def test_comments_and_blank_lines_ignored():

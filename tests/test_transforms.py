@@ -302,11 +302,18 @@ def test_search_pool_has_no_more_workers_than_units(k1, monkeypatch):
     assert started == [2]
 
 
-@pytest.mark.parametrize("kind, target, chi", [("quad", T45, -8), ("tri", T37, -10)])
-def test_screen_accepts_exactly_the_valid_gluings(k1, kind, target, chi):
+@pytest.mark.parametrize("names, combo, kind, target, chi", [
+    pytest.param(("k1",), (0, 0), "quad", T45, -8, id="quad-target0--8"),
+    pytest.param(("k1",), (0, 0), "tri", T37, -10, id="tri-target1--10"),
+    pytest.param(("k1", "k3"), (0, 1), "quad", T45, -8, id="k1+k3-quad"),
+    pytest.param(("k1", "k3"), (0, 1), "tri", T37, -10, id="k1+k3-tri"),
+])
+def test_screen_accepts_exactly_the_valid_gluings(request, names, combo, kind, target, chi):
+    # the first unit of the base multiset ``combo``; validate shares no code with the screen
     from semap.transforms import _apply_bundle, _combo_units, _feasible_gluings, _gluings
 
-    _, unit = next(_combo_units([k1], target, chi, kind))
+    bases = [request.getfixturevalue(name) for name in names]
+    unit = next(u for c, u in _combo_units(bases, target, chi, kind) if c == combo)
     _, faces, n, pairing = unit
     feasible = _feasible_gluings(unit, kind)
     accepted = 0
@@ -351,11 +358,19 @@ def test_orbit_reduced_search_matches_unreduced(request, names, budget, covered)
     assert stats.built < built
 
 
-def test_search_accepts_a_base_without_automorphism_group(k1):
-    # a disconnected base has no canonical form; its only symmetry used is the identity
+def test_search_refuses_an_invalid_base(k1):
+    from semap.transforms import _combo_units
+
+    # K1 + K1 as one base is disconnected, so it is not a map
     both = PolyhedralMap(k1.faces + tuple(tuple(v + 12 for v in f) for f in k1.faces), n=24)
-    _, _, stats = cylinder_search([both], T45, -8, max_candidates=1024)
-    assert (stats.bundles, stats.covered_units) == (2, 0)
+    with pytest.raises(TransformError, match="base #0 is not a valid map: \\[connectivity\\]"):
+        cylinder_search([both], T45, -8, max_candidates=1024)
+    # [K1] reaches the same faces and every pairing that joins the two copies
+    via_k1 = [u for c, u in _combo_units([k1], T45, -8, "quad") if c == (0, 0)]
+    via_both = [u for _, u in _combo_units([both], T45, -8, "quad")]
+    assert {u[1] for u in via_k1 + via_both} == {both.faces}
+    joined = {u[3] for u in via_both if any((a[0] < 12) != (b[0] < 12) for a, b in u[3])}
+    assert {u[3] for u in via_k1} == joined
 
 
 def test_provenance_replays_to_the_same_map(k1, k2):
@@ -377,7 +392,7 @@ def test_provenance_replays_to_the_same_map(k1, k2):
 def test_tri_search_finds_37_4_maps(k1):
     maps, notes, stats = cylinder_search([k1], T37, -10, max_candidates=2592)
     assert len(maps) >= 2
-    for m in maps[:10]:
+    for m in maps:
         assert validate(m).ok
         assert semi_equivelar_type(m) == T37
         assert surface_profile(m).euler_characteristic == -10
