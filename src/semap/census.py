@@ -5,7 +5,9 @@ the requested type contains a vertex whose link can be relabeled to that
 seed, so nothing is lost), then repeatedly picks the most constrained
 open edge and tries every face that could be its second face.  Partial
 states track per-vertex face-size budgets and the arcs of each link, so
-contradictions are caught as early as possible.  The search is not
+contradictions are caught as early as possible.  The candidate generator
+already applies the closing rule of the link at the site vertex, so the
+pruning statistics count only the faces it offers.  The search is not
 isomorph-free: it can reach one class through several complete maps (32
 for the 3 classes of (3^5,4) on chi=-1), so complete maps are validated
 and de-duplicated by canonical form afterwards.
@@ -75,11 +77,16 @@ class PartialMap:
     the same arc, closes it: allowed only for the only arc and v's
     ``degree``-th corner, which leaves ``arcs[v]`` empty.
 
+    ``open_edges`` holds the edges that lie in exactly one face: the sites
+    the search may still extend.  The map is complete once it has a face
+    and no open edge.
+
     ``add_face`` runs every check before it changes anything, so a refused
     face leaves the state as it was.  A commit pushes its undo record (each
-    changed dict entry with its old value) on a trail, and ``pop_face``
-    restores the state from before the last commit exactly; the search
-    commits and pops in place.  ``copy`` starts an empty trail.
+    changed dict entry with its old value, and the edges it opened and
+    closed) on a trail, and ``pop_face`` restores the state from before the
+    last commit exactly; the search commits and pops in place.  ``copy``
+    starts an empty trail.
     """
 
     def __init__(self, n: int, target: FaceSequence):
@@ -91,7 +98,8 @@ class PartialMap:
         self.vertex_faces: dict[int, tuple[int, ...]] = {}
         self.size_used: dict[int, dict[int, int]] = {}
         self.arcs: dict[int, dict[int, int]] = {}
-        self._trail: list[list] = []
+        self.open_edges: set[tuple[int, int]] = set()
+        self._trail: list[tuple[list, list, list]] = []
 
     def copy(self) -> "PartialMap":
         out = PartialMap.__new__(PartialMap)
@@ -103,6 +111,7 @@ class PartialMap:
         out.vertex_faces = dict(self.vertex_faces)
         out.size_used = {v: dict(c) for v, c in self.size_used.items()}
         out.arcs = {v: dict(e) for v, e in self.arcs.items()}
+        out.open_edges = set(self.open_edges)
         out._trail = []
         return out
 
@@ -113,7 +122,7 @@ class PartialMap:
         return sorted(self.vertex_faces)
 
     def is_complete(self) -> bool:
-        return bool(self.faces) and all(len(fs) == 2 for fs in self.edge_use.values())
+        return bool(self.faces) and not self.open_edges
 
     # -- commits -----------------------------------------------------------
 
@@ -185,8 +194,12 @@ class PartialMap:
 
         idx = len(self.faces)
         self.faces.append(face)
+        opened, closed = [], []
         for e, fs in zip(edges, uses):
             put(edge_use, e, fs + (idx,))
+            (closed if fs else opened).append(e)
+        self.open_edges.difference_update(closed)
+        self.open_edges.update(opened)
         for v, a, b, x, y in corners:
             put(self.vertex_faces, v, self.vertex_faces.get(v, ()) + (idx,))
             if v not in self.size_used:
@@ -200,15 +213,18 @@ class PartialMap:
             if x != b:
                 put(ends, x, y)
                 put(ends, y, x)
-        self._trail.append(undo)
+        self._trail.append((undo, opened, closed))
 
     def pop_face(self) -> Face:
         """Undo the last :meth:`add_face` exactly and return its face."""
-        for d, k, old in reversed(self._trail.pop()):
+        undo, opened, closed = self._trail.pop()
+        for d, k, old in reversed(undo):
             if old is None:
                 del d[k]
             else:
                 d[k] = old
+        self.open_edges.difference_update(opened)
+        self.open_edges.update(closed)
         return self.faces.pop()
 
     def to_map(self, name: str = "") -> PolyhedralMap:
@@ -305,49 +321,66 @@ def seed_partial(seq: FaceSequence, chi: int,
 
 def _site(partial: PartialMap) -> tuple[int, int]:
     """Most constrained open site: the vertex with the fewest remaining
-    corners (then smallest label), and its smallest open edge."""
+    corners (then smallest label), and its smallest open edge.  The map
+    must have an open edge."""
     faces_at = partial.vertex_faces
-    best = min(((-len(faces_at[v]), v, w) for (a, b), fs in partial.edge_use.items()
-                if len(fs) == 1 for v, w in ((a, b), (b, a))), default=None)
-    if best is None:
-        raise LinkContradiction("no open edges")
-    return best[1], best[2]
+    _, v, w = min((-len(faces_at[v]), v, w) for a, b in partial.open_edges
+                  for v, w in ((a, b), (b, a)))
+    return v, w
 
 
-def _candidate_faces(partial: PartialMap, v: int, w: int):
-    """All faces that could become the second face on open edge (v, w).
+def _candidate_faces(partial: PartialMap, v: int, w: int) -> list[Face]:
+    """The faces that could become the second face on open edge (v, w).
 
     A face of size s is the path v, w, x1, ..., x_{s-2} closing back to v.
     New vertices are taken in first-use order (one fresh choice per slot),
     which fixes the labeling symmetry without losing any isomorphism class.
+    Labels whose s-gon slots are spent are skipped.
+
+    The generator already applies ``add_face``'s closing rule at v: the
+    face's corner at v is (x_{s-2}, w), and it closes v's link exactly when
+    x_{s-2} is the far end ``c`` of w's arc at v.  So if this is v's last
+    corner, x_{s-2} must be c (and w's arc must be v's only one); otherwise
+    it must not be.  Every face this leaves out is one ``add_face``
+    refuses, and the faces it keeps come in the same order, so the search
+    tree is unchanged and ``pruned`` counts only the faces offered here.
+    Other vertices are left to ``add_face``.
     """
+    target, size_used, faces_at = partial.target, partial.size_used, partial.vertex_faces
     sizes = sorted(
-        s for s in partial.target
-        if partial.size_used.get(v, {}).get(s, 0) < partial.target[s]
-        and partial.size_used.get(w, {}).get(s, 0) < partial.target[s]
+        s for s in target
+        if size_used[v].get(s, 0) < target[s] and size_used[w].get(s, 0) < target[s]
     )
-    used = partial.used_vertices
+    ends = partial.arcs[v]
+    last = len(faces_at[v]) + 1 == partial.degree
+    if not sizes or (last and len(ends) > 2):
+        return []  # v's last corner can close only its only arc
+    c = ends[w]
+    # fresh labels in first-use order, as many as one face can take
+    fresh = [x for x in range(partial.n) if x not in faces_at][:sizes[-1] - 2]
     out: list[Face] = []
 
-    def extend(path: list[int], left: int, size: int) -> None:
-        if left == 0:
-            out.append(tuple(path))
+    def extend(path: list[int], left: int, nfresh: int, pool: list[int]) -> None:
+        if left == 1:
+            if last:
+                if c in pool and c not in path:
+                    out.append(tuple(path) + (c,))
+                return
+            out.extend(tuple(path) + (x,) for x in pool if x != c and x not in path)
+            if nfresh < len(fresh):
+                out.append(tuple(path) + (fresh[nfresh],))
             return
-        fresh = None
-        for x in range(partial.n):
-            if x not in partial.vertex_faces and x not in path:
-                fresh = x
-                break
-        pool = [x for x in used if x not in path]
-        if fresh is not None:
-            pool.append(fresh)
         for x in pool:
-            if partial.size_used.get(x, {}).get(size, 0) >= partial.target[size]:
-                continue
-            extend(path + [x], left - 1, size)
+            if x not in path:
+                extend(path + [x], left - 1, nfresh, pool)
+        if nfresh < len(fresh):
+            extend(path + [fresh[nfresh]], left - 1, nfresh + 1, pool)
 
+    used = partial.used_vertices
     for s in sizes:
-        extend([v, w], s - 2, s)
+        # used labels with an s-gon slot left
+        pool = [x for x in used if size_used[x].get(s, 0) < target[s]]
+        extend([v, w], s - 2, 0, pool)
     return out
 
 
@@ -376,7 +409,14 @@ def complete_search(partial: PartialMap, max_nodes: int | None = None
     """Exhaust all completions of a partial map into closed maps.
 
     Emitted maps pass full validation; no isomorphism de-duplication here.
+    The search grows the map from its open edges, so ``partial`` must hold
+    at least one face; an empty one, or a negative ``max_nodes``, raises
+    ``ValueError``.
     """
+    if not partial.faces:
+        raise ValueError("complete_search needs a partial map with at least one face")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be non-negative, got {max_nodes}")
     stats = SearchStats()
     t0 = time.perf_counter()
     found: list[PolyhedralMap] = []
@@ -403,8 +443,11 @@ def enumerate_sems(seq: FaceSequence, chi: int, seed: str = "link",
 
     Returns an empty list when no positive integer vertex count fits.
     ``max_nodes`` bounds the search; ``stats.exhausted`` reports whether
-    the whole tree was covered.
+    the whole tree was covered.  A negative ``max_nodes`` raises
+    ``ValueError``.
     """
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be non-negative, got {max_nodes}")
     t0 = time.perf_counter()
     stats = SearchStats()
     try:

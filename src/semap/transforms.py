@@ -584,9 +584,12 @@ def cylinder_search(
 
     ``max_candidates`` truncates the deterministic candidate stream (at
     work-unit granularity, skipped bundles included); ``stats.exhausted``
-    records whether the whole space was covered.  ``jobs > 1`` distributes
-    units over processes; the result list does not depend on ``jobs``.
+    records whether the whole space was covered; a negative budget raises
+    ``ValueError``.  ``jobs > 1`` distributes units over processes; the
+    result list does not depend on ``jobs``.
     """
+    if max_candidates is not None and max_candidates < 0:
+        raise ValueError(f"max_candidates must be non-negative, got {max_candidates}")
     t0 = time.perf_counter()
     stats = CylinderSearchStats()
     results: list[PolyhedralMap] = []

@@ -2,6 +2,7 @@ import copy
 import inspect
 import sys
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -174,6 +175,15 @@ def test_add_face_rejects_wrong_size():
         p.add_face((0, 1, 2, 3, 4))
 
 
+def test_add_face_rejects_three_shared_vertices():
+    p = PartialMap(8, FaceSequence.from_string("3^3,4^2"))
+    p.add_face((0, 1, 2, 3))
+    # every other check passes: only the intersection test sees 0, 1, 2
+    with pytest.raises(LinkContradiction, match="shares") as info:
+        p.add_face((0, 1, 4, 2))
+    assert info.value.reason == "intersection"
+
+
 def test_copy_isolates_state():
     p = seed_partial(T354, -1)
     q = p.copy()
@@ -221,15 +231,23 @@ def face_ops(draw):
     return seq, n, ops
 
 
+def open_edges_of(faces):
+    """The edges lying in exactly one face of a raw face list."""
+    uses = Counter(tuple(sorted((f[i - 1], f[i]))) for f in faces for i in range(len(f)))
+    return {e for e, k in uses.items() if k == 1}
+
+
 def check_engine(engine, seq, n, ops):
     """``add_face`` accepts exactly what the oracle admits, a refusal
-    changes nothing, and each ``pop_face`` restores the state before its add."""
+    changes nothing, each ``pop_face`` restores the state before its add,
+    and ``open_edges`` always holds the edges lying in one face."""
     p = engine.PartialMap(n, seq)
     faces, before = [], []
     for face in ops:
         if face is None:
             if faces:
                 assert p.pop_face() == faces.pop()
+                assert p.open_edges == open_edges_of(faces)
                 assert vars(p) == before.pop()
             continue
         snapshot = copy.deepcopy(vars(p))
@@ -242,9 +260,11 @@ def check_engine(engine, seq, n, ops):
             continue
         assert partial_map_admits(faces, face, n, seq), (faces, face)
         faces.append(face)
+        assert p.open_edges == open_edges_of(faces)
         before.append(snapshot)
     while faces:
         assert p.pop_face() == faces.pop()
+        assert p.open_edges == open_edges_of(faces)
         assert vars(p) == before.pop()
 
 
@@ -381,3 +401,76 @@ def test_prune_counts_account_for_every_candidate(monkeypatch):
     assert list(stats.pruned) == list(PRUNE_REASONS)
     # every candidate is either refused for one reason or becomes a node
     assert sum(stats.pruned.values()) + stats.nodes - 1 == tried
+
+
+def reference_candidates(partial, v, w):
+    """The generator without the closing rule: each slot of a face v, w, ...
+    takes every used label not on the path, then the least fresh label."""
+    target, size_used = partial.target, partial.size_used
+    out = []
+
+    def extend(path, left, size):
+        if left == 0:
+            out.append(tuple(path))
+            return
+        used = [x for x in sorted(partial.vertex_faces) if x not in path]
+        fresh = [x for x in range(partial.n) if x not in partial.vertex_faces
+                 and x not in path][:1]
+        for x in used + fresh:
+            if size_used.get(x, {}).get(size, 0) < target[size]:
+                extend(path + [x], left - 1, size)
+
+    for s in sorted(target):
+        if size_used[v].get(s, 0) < target[s] and size_used[w].get(s, 0) < target[s]:
+            extend([v, w], s - 2, s)
+    return out
+
+
+def accepted_faces(partial, faces):
+    out = []
+    for face in faces:
+        try:
+            partial.add_face(face)
+        except LinkContradiction:
+            continue
+        partial.pop_face()
+        out.append(face)
+    return out
+
+
+@pytest.mark.parametrize("chi, max_nodes, nodes", [(-1, None, 4469), (-2, 3000, 3000)])
+def test_generator_keeps_every_face_the_reference_gets_accepted(monkeypatch, chi,
+                                                                max_nodes, nodes):
+    generator = census._candidate_faces
+    sites = 0
+
+    def checked(partial, v, w):
+        nonlocal sites
+        sites += 1
+        offered = generator(partial, v, w)
+        reference = reference_candidates(partial, v, w)
+        kept = accepted_faces(partial, reference)
+        assert set(offered) <= set(reference)
+        assert accepted_faces(partial, offered) == kept
+        assert not (set(reference) - set(offered)) & set(kept)
+        return offered
+
+    monkeypatch.setattr(census, "_candidate_faces", checked)
+    _, stats = enumerate_sems(T354, chi, max_nodes=max_nodes)
+    # every node but a complete map is a site
+    assert stats.nodes == nodes == sites + stats.solutions
+
+
+def test_complete_search_refuses_an_empty_partial_map():
+    with pytest.raises(ValueError, match="at least one face") as info:
+        complete_search(PartialMap(12, T354))
+    assert type(info.value) is ValueError
+
+
+def test_negative_node_budgets_are_refused():
+    with pytest.raises(ValueError, match="max_nodes"):
+        enumerate_sems(T354, -1, max_nodes=-5)
+    with pytest.raises(ValueError, match="max_nodes"):
+        complete_search(seed_partial(T354, -1), max_nodes=-1)
+    _, stats = enumerate_sems(T354, -1, max_nodes=0)
+    assert stats.nodes == 0 and not stats.exhausted

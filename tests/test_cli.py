@@ -193,6 +193,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "cylinder", "K1", "--kind", "quad", "--faces", "zzz")[0] == 2
 
 
+def test_negative_budgets_exit_2(capsys):
+    code, out, err = run(capsys, "enumerate", "--type", "3^5,4", "--chi", "-1",
+                         "--max-nodes", "-5")
+    assert (code, out) == (2, "") and "max_nodes" in err
+    code, out, err = run(capsys, "cylinder-search", "--type", "3^5,4^2", "--chi", "-8",
+                         "--bases", "k1", "--max-candidates", "-1")
+    assert (code, out) == (2, "") and "max_candidates" in err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "semap.cli", "profile", "K2"],

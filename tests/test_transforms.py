@@ -278,6 +278,11 @@ def test_search_is_deterministic_and_job_independent(k1, k3):
     assert one[2].classes == two[2].classes
 
 
+def test_negative_candidate_budget_is_refused(k1):
+    with pytest.raises(ValueError, match="max_candidates"):
+        cylinder_search([k1], T45, -8, max_candidates=-1)
+
+
 def test_search_pool_has_no_more_workers_than_units(k1, monkeypatch):
     import concurrent.futures as cf
 
