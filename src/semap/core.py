@@ -9,16 +9,18 @@ The flag system (:func:`flags`) encodes a closed map as three involutions
 on its (vertex, edge, face) flags.  Link checks, orientability, the
 orientation double cover and canonical forms are all read off it, and
 :func:`components` is the one union-find for every connectivity question.
+Orientability and canonical forms take it from :func:`closed_flags`, one
+pass over the faces that also checks the map is closed.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 
 Face = tuple[int, ...]
 Edge = tuple[int, int]
@@ -49,14 +51,14 @@ def face_edges(face: Face) -> list[Edge]:
 def normalize_face(face) -> Face:
     """Least representative of a face under rotation and reflection."""
     seq = tuple(face)
-    n = len(seq)
-    if n == 0:
+    if not seq:
         return seq
-    rev = seq[::-1]
-    return min(
-        min(seq[i:] + seq[:i] for i in range(n)),
-        min(rev[i:] + rev[:i] for i in range(n)),
-    )
+    low = min(seq)
+    i = seq.index(low)
+    if seq.count(low) == 1:  # the least representative starts at ``low``
+        fwd = seq[i:] + seq[:i]
+        return min(fwd, (low,) + fwd[:0:-1])
+    return min(s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(s)))
 
 
 def same_face(f: Face, g: Face) -> bool:
@@ -148,6 +150,42 @@ class PolyhedralMap:
 # Flags and components
 # ---------------------------------------------------------------------------
 
+def _flag_pass(m: PolyhedralMap):
+    """One pass over the faces: ``s0, s1, s2, fv`` as :func:`flags` gives
+    them, and ``sides``, which maps each edge ``a*n + b`` (``a < b``) to the
+    flags at ``a`` on it, one per face.  Raises :class:`ValueError` at the
+    first face that is not a polygon on vertices ``0..n-1``."""
+    n = m.n
+    corners = list(chain.from_iterable(m.faces))
+    nflags = 2 * len(corners)
+    fv = list(chain.from_iterable(zip(corners, corners)))
+    s0 = [0] * nflags  # x + 3 at even x, x - 3 at odd x, but where a face wraps round
+    s0[::2] = range(3, nflags + 3, 2)
+    s0[1::2] = range(-2, nflags - 2, 2)
+    b = 0
+    for i, face in enumerate(m.faces):
+        k = len(face)
+        if k < 3 or len(set(face)) != k or max(face) >= n:
+            raise ValueError(f"not a closed map: face #{i} {face} is not a polygon "
+                             f"on vertices 0..{n - 1}")
+        s0[b + 2 * k - 2], s0[b + 1] = b + 1, b + 2 * k - 2
+        b += 2 * k
+    sides: defaultdict[int, list[int]] = defaultdict(list)
+    ahead = chain.from_iterable(f[1:] + f[:1] for f in m.faces)
+    for x, v, w in zip(count(0, 2), corners, ahead):
+        if v < w:
+            sides[v * n + w].append(x)
+        else:
+            sides[w * n + v].append(s0[x])
+    s1 = [x ^ 1 for x in range(nflags)]
+    s2 = list(range(nflags))
+    for ends in sides.values():
+        if len(ends) == 2:
+            p, r = ends
+            s2[p], s2[r], s2[s0[p]], s2[s0[r]] = r, p, s0[r], s0[p]
+    return s0, s1, s2, fv, sides
+
+
 def flags(m: PolyhedralMap) -> tuple[list[int], list[int], list[int], list[int]]:
     """The flag involutions ``s0, s1, s2`` and the vertex of every flag.
 
@@ -156,43 +194,36 @@ def flags(m: PolyhedralMap) -> tuple[list[int], list[int], list[int], list[int]]
     contribute flags in order: flag ``b + 2*i`` of the face whose flags
     start at ``b`` sits at boundary position ``i`` and takes the edge to the
     next vertex, flag ``b + 2*i + 1`` the edge to the previous one.  A flag
-    whose edge does not lie in exactly two faces is fixed by ``s2``.
+    whose edge does not lie in exactly two faces is fixed by ``s2``.  Every
+    face must be a polygon on vertices ``0..n-1`` (:class:`ValueError`).
     """
-    s0: list[int] = []
-    s1: list[int] = []
-    fv: list[int] = []
-    halves: dict[tuple[int, int], list[int]] = {}  # (vertex, far end of edge)
-    for face in m.faces:
-        k = len(face)
-        b = len(fv)
-        for i, v in enumerate(face):
-            x = b + 2 * i
-            fv += (v, v)
-            s1 += (x + 1, x)
-            s0 += (b + 2 * ((i + 1) % k) + 1, b + 2 * ((i - 1) % k))
-            halves.setdefault((v, face[(i + 1) % k]), []).append(x)
-            halves.setdefault((v, face[i - 1]), []).append(x + 1)
-    s2 = list(range(len(fv)))
-    for pair in halves.values():
-        if len(pair) == 2:
-            x, y = pair
-            s2[x], s2[y] = y, x
-    return s0, s1, s2, fv
+    return _flag_pass(m)[:4]
 
 
-def require_closed(m: PolyhedralMap) -> None:
-    """Raise :class:`ValueError` unless ``m`` is closed: it has a face, every
-    face has at least 3 distinct labels below ``n``, and every edge lies in
-    exactly two faces.  Closed maps are the ones :func:`flags` encodes in full."""
+def closed_flags(m: PolyhedralMap):
+    """The flag moves of a closed map, the vertex and face size of every
+    flag, and the neighbours of every vertex, from one pass over the faces.
+
+    ``moves[x]`` is ``(s0[x], s1[x], s2[x])`` as :func:`flags` gives them,
+    ``fv[x]`` the vertex of flag ``x``, ``flen[x]`` the size of its face, and
+    ``neighbours[v]`` the vertices joined to ``v`` by an edge, read off the
+    flags.  Raises :class:`ValueError` unless ``m`` is closed: it has a
+    face, every face has at least 3 distinct labels below ``n``, and every
+    edge lies in exactly two faces.  Nothing is cached on ``m``.
+    """
     if not m.faces:
         raise ValueError("not a closed map: it has no faces")
-    for i, face in enumerate(m.faces):
-        if len(face) < 3 or len(set(face)) != len(face) or max(face) >= m.n:
-            raise ValueError(f"not a closed map: face #{i} {face} is not a polygon "
-                             f"on vertices 0..{m.n - 1}")
-    for e, fs in m.edge_faces.items():
-        if len(fs) != 2:
-            raise ValueError(f"not a closed map: edge {e} lies in {len(fs)} face(s)")
+    s0, s1, s2, fv, sides = _flag_pass(m)
+    neighbours: list[set[int]] = [set() for _ in range(m.n)]
+    for e, ends in sides.items():
+        if len(ends) != 2:
+            raise ValueError(f"not a closed map: edge {divmod(e, m.n)} lies in "
+                             f"{len(ends)} face(s)")
+        a, c = fv[ends[0]], fv[s0[ends[0]]]
+        neighbours[a].add(c)
+        neighbours[c].add(a)
+    flen = list(chain.from_iterable([len(f)] * (2 * len(f)) for f in m.faces))
+    return list(zip(s0, s1, s2)), fv, flen, neighbours
 
 
 def components(size: int, pairs) -> list[int]:
@@ -662,26 +693,20 @@ def is_orientable(m: PolyhedralMap) -> bool:
 
     The flags of one colour then orient every face so that each edge is
     used once in each direction.  Raises :class:`ValueError` unless the map
-    is closed (:func:`require_closed`).
+    is closed (:func:`closed_flags`).
     """
-    require_closed(m)
-    moves = flags(m)[:3]
-    colour = [-1] * len(moves[0])
-    for root in range(len(colour)):
-        if colour[root] >= 0:
-            continue
-        colour[root] = 0
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            other = 1 - colour[x]
-            for s in moves:
-                y = s[x]
-                if colour[y] < 0:
-                    colour[y] = other
-                    stack.append(y)
-                elif colour[y] != other:
-                    return False
+    moves = closed_flags(m)[0]
+    colour = [-1] * len(moves)
+    for root in range(len(moves)):
+        if colour[root] < 0:
+            colour[root], queue = 0, [root]
+            for x in queue:
+                for y in moves[x]:
+                    if colour[y] < 0:
+                        colour[y] = 1 - colour[x]
+                        queue.append(y)
+                    elif colour[y] == colour[x]:
+                        return False
     return True
 
 
@@ -689,7 +714,7 @@ def surface_profile(m: PolyhedralMap) -> SurfaceProfile:
     """Counts, Euler characteristic and orientability of a valid map.
 
     Raises :class:`ValueError` for a map that is not closed
-    (:func:`require_closed`), where neither number means anything.
+    (:func:`closed_flags`), where neither number means anything.
     """
     v = m.n
     e = len(m.edge_faces)

@@ -1,17 +1,21 @@
 """Relabeling-grade machinery: canonical forms, automorphisms, G_t graphs.
 
 The canonical form is computed by flag-rooted traversal of the flag
-system built in :func:`semap.core.flags`.  A flag is a mutually incident
-(vertex, edge, face) triple; every flag admits three moves (swap the
-vertex, the edge, or the face while keeping the other two).  A
-breadth-first walk of the flag graph from a fixed root visits every flag
-of a valid map in an order that depends only on the structure, so the
-walk's transition code is a relabeling invariant.  The canonical form is
-the relabeled, sorted face list read off a root with the lexicographically
-least code; two maps get equal forms iff some flag of one walks exactly
-like some flag of the other, which is precisely an isomorphism.  Roots
-with minimal code are in bijection with the automorphism group (an
-automorphism fixing a flag is the identity).
+system.  A flag is a mutually incident (vertex, edge, face) triple; every
+flag admits three moves (swap the vertex, the edge, or the face while
+keeping the other two).  A breadth-first walk of the flag graph from a
+fixed root visits every flag of a valid map in an order that depends only
+on the structure, so the walk's transition code is a relabeling
+invariant.  The canonical form is the relabeled, sorted face list read off
+a root with the lexicographically least code; two maps get equal forms iff
+some flag of one walks exactly like some flag of the other, which is
+precisely an isomorphism.  Roots with minimal code are in bijection with
+the automorphism group (an automorphism fixing a flag is the identity).
+
+One pass over the faces (:func:`semap.core.closed_flags`) checks the map
+is closed and gives the flag moves and what the root filter needs; the
+filter keys each face size and vertex once, and the walk from each root
+stops at its first step worse than the best code so far.
 
 The canonical data of a map (form, relabeled faces, one labeling per
 minimal root) is computed at most once per :class:`PolyhedralMap` object
@@ -25,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
-    Edge, Face, PolyhedralMap, components, flags, normalize_face, oriented_edge, require_closed,
+    Edge, Face, PolyhedralMap, closed_flags, components, normalize_face, oriented_edge,
     vertex_link,
 )
 
@@ -130,55 +134,39 @@ def g_t_graph(m: PolyhedralMap, t: int, sets: str = "link") -> SimpleGraph:
 # Canonical forms
 # ---------------------------------------------------------------------------
 
-def _bfs_code(root: int, s0, s1, s2, nflags: int, best):
-    """Breadth-first transition code from ``root``; early-abort against ``best``.
+def _walk(root: int, moves, best):
+    """Breadth-first walk of the flag graph from ``root``, against ``best``.
 
-    Returns (verdict, code, visit order): verdict 1 means lexicographically
-    worse than best (code and order are None), -1 strictly better, 0 equal
-    (code is None too: it would equal ``best``).  The code list is only
-    materialised for strictly better roots.
+    The code lists, for each flag in visit order, the visit positions of
+    its three neighbours ``(s0, s1, s2)``.  Returns (verdict, code, visit
+    order): verdict 1 means lexicographically worse than ``best`` (code and
+    order are None: the walk stops at its first worse step), -1 strictly
+    better, 0 equal (code is None too: it would equal ``best``).
     """
-    order = [-1] * nflags
+    order = [-1] * len(moves)
     order[root] = 0
     queue = [root]
-    append_flag = queue.append
-    code: list[int] | None = None
-    verdict = 0 if best is not None else -1
-    if verdict == -1:
-        code = []
-    pos = 0
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y in (s0[x], s1[x], s2[x]):
-            j = order[y]
-            if j < 0:
-                j = len(queue)
-                order[y] = j
-                append_flag(y)
-            if verdict == 0:
-                b = best[pos]
-                if j > b:
-                    return 1, None, None
-                if j < b:
-                    verdict = -1
-                    code = list(best[:pos])
-                    code.append(j)
-            elif code is not None:
-                code.append(j)
-            pos += 1
-    return verdict, code, queue
-
-
-def _labeling(queue, fv) -> dict[int, int]:
-    """Vertex -> canonical label, by first appearance along the walk."""
-    label: dict[int, int] = {}
-    for x in queue:
-        v = fv[x]
-        if v not in label:
-            label[v] = len(label)
-    return label
+    code = [] if best is None else None
+    for i, x in enumerate(queue):
+        a, b, c = moves[x]  # unrolled: a loop over the three moves is measurably slower
+        if order[a] < 0:
+            order[a] = len(queue)
+            queue.append(a)
+        if order[b] < 0:
+            order[b] = len(queue)
+            queue.append(b)
+        if order[c] < 0:
+            order[c] = len(queue)
+            queue.append(c)
+        step = (order[a], order[b], order[c])
+        if code is not None:
+            code.append(step)
+        elif step != best[i]:
+            if step > best[i]:
+                return 1, None, None
+            code = best[:i]
+            code.append(step)
+    return (0 if code is None else -1), code, queue
 
 
 @dataclass(frozen=True)
@@ -188,71 +176,49 @@ class CanonData:
     labelings: tuple[tuple[int, ...], ...]  # original vertex -> canonical label
 
 
-def _encode(n: int, faces) -> bytes:
-    body = ";".join(",".join(map(str, f)) for f in faces)
-    return f"{n}|{body}".encode()
-
-
-def _vertex_signature(m: PolyhedralMap) -> dict[int, tuple]:
-    """A cheap relabeling-invariant fingerprint per vertex: the incident
-    face sizes plus the neighborhood-intersection profile."""
-    nb = m.neighbors
-    sig = {}
-    for v in range(m.n):
-        sizes = tuple(sorted(len(m.faces[i]) for i in m.vertex_faces[v]))
-        inter = tuple(sorted(len(nb[v] & nb[w]) for w in nb[v]))
-        sig[v] = (sizes, inter)
-    return sig
-
-
-def _root_flags(m: PolyhedralMap, fv) -> list[int]:
-    """Flags to root the traversal at: the rarest face size, then the
-    rarest vertex fingerprint on such faces.  Both filters are invariant
-    under relabeling, so isomorphic maps restrict to corresponding flag
-    sets, and the automorphism group still acts on the result (its minimal
-    flags remain a single free orbit)."""
-    flen = [len(f) for f in m.faces for _ in range(2 * len(f))]
-    face_counts = Counter(flen)
-    sig = _vertex_signature(m)
-    sig_counts = Counter(sig.values())
-    key = [
-        (face_counts[flen[x]], flen[x], sig_counts[sig[fv[x]]], sig[fv[x]])
-        for x in range(len(fv))
-    ]
-    least = min(key)
-    return [x for x, k in enumerate(key) if k == least]
+def _roots(fv, flen, neighbours) -> list[int]:
+    """Flags to root the walk at, ascending: those on faces of the rarest
+    size (by flag count), then at vertices of the rarest fingerprint among
+    them (incident face sizes plus neighbourhood intersection profile).
+    Both filters are invariant under relabeling, so isomorphic maps restrict
+    to corresponding flag sets, and the automorphism group still acts on the
+    result (its minimal flags remain a single free orbit)."""
+    flag_count = Counter(flen)
+    size = min(flag_count, key=lambda k: (flag_count[k], k))
+    sizes: list[list[int]] = [[] for _ in neighbours]
+    for v, k in zip(fv[::2], flen[::2]):
+        sizes[v].append(k)
+    sig = [(tuple(sorted(sizes[v])), tuple(sorted([len(nv & neighbours[w]) for w in nv])))
+           for v, nv in enumerate(neighbours)]
+    sig_count = Counter(sig)
+    key = [(sig_count[s], s) for s in sig]
+    least = min(key[v] for v, k in zip(fv, flen) if k == size)
+    return [x for x, (v, k) in enumerate(zip(fv, flen)) if k == size and key[v] == least]
 
 
 def _compute_canonical(m: PolyhedralMap) -> CanonData:
-    require_closed(m)
-    s0, s1, s2, fv = flags(m)
-    nflags = len(fv)
-    best = None
-    best_queues: list[list[int]] = []
-    for root in _root_flags(m, fv):
-        verdict, code, queue = _bfs_code(root, s0, s1, s2, nflags, best)
+    moves, fv, flen, neighbours = closed_flags(m)
+    best, best_queues = None, []
+    for root in _roots(fv, flen, neighbours):
+        verdict, code, queue = _walk(root, moves, best)
         if verdict == 1:
             continue
-        if len(queue) < nflags:
+        if len(queue) < len(moves):
             raise ValueError("canonical form needs a connected map")
         if verdict == -1:
-            best = code
-            best_queues = [queue]
-        else:
-            best_queues.append(queue)
-    labelings = []
-    for q in best_queues:
-        lab = _labeling(q, fv)
-        if len(lab) < m.n:
+            best, best_queues = code, []
+        best_queues.append(queue)
+    labelings = []  # vertex -> canonical label, by first appearance along the walk
+    for queue in best_queues:
+        first = dict.fromkeys(map(fv.__getitem__, queue))
+        if len(first) < m.n:
             raise ValueError("canonical form needs every vertex on a face")
-        labelings.append(tuple(lab[v] for v in range(m.n)))
-    lab0 = labelings[0]
-    faces = tuple(sorted(normalize_face(tuple(lab0[v] for v in f)) for f in m.faces))
-    return CanonData(
-        form=_encode(m.n, faces),
-        canonical_faces=faces,
-        labelings=tuple(labelings),
-    )
+        label = {v: c for c, v in enumerate(first)}
+        labelings.append(tuple(label[v] for v in range(m.n)))
+    relabel = labelings[0].__getitem__
+    faces = tuple(sorted(normalize_face(tuple(map(relabel, f))) for f in m.faces))
+    form = f"{m.n}|" + ";".join(",".join(map(str, f)) for f in faces)
+    return CanonData(form=form.encode(), canonical_faces=faces, labelings=tuple(labelings))
 
 
 def _canonical_data(m: PolyhedralMap) -> CanonData:

@@ -378,15 +378,22 @@ def _units_for_multiset(picked, n_cyl, kind):
     yield from units
 
 
+def _without(faces, removed) -> list[Face]:
+    """``faces`` less every rotation or reflection of a face in ``removed``;
+    only the removed faces are turned, no face of ``faces`` is normalised."""
+    turns = {h[i:] + h[:i] for g in map(tuple, removed) for h in (g, g[::-1])
+             for i in range(len(h))}
+    return [f for f in faces if f not in turns]
+
+
 def _apply_bundle(faces, specs) -> list[Face]:
     """The faces after every spec's two faces are removed and its walls added.
 
     This is the one place cylinder specs turn into faces: ``add_cylinder``
-    and the search both build through it, and provenance replays with it.
+    and provenance replay pass whole maps, the search the faces its unit
+    keeps, computed once per unit.
     """
-    removed = {normalize_face(s.face_a) for s in specs}
-    removed |= {normalize_face(s.face_b) for s in specs}
-    out = [f for f in faces if normalize_face(f) not in removed]
+    out = _without(faces, chain.from_iterable((s.face_a, s.face_b) for s in specs))
     for s in specs:
         out.extend(_wall_faces(s.face_a, s.face_b, s.offset, s.reflect))
     return out
@@ -437,8 +444,7 @@ def _feasible_gluings(unit, kind: str) -> list[list[tuple[int, bool]]]:
     quadrangle at every vertex.
     """
     _, faces, n, pairing = unit
-    removed = {normalize_face(f) for pair in pairing for f in pair}
-    surviving = PolyhedralMap([f for f in faces if normalize_face(f) not in removed], n=n)
+    surviving = PolyhedralMap(_without(faces, chain.from_iterable(pairing)), n=n)
     at = {v: set(fs) for v, fs in surviving.vertex_faces.items()}
     out = []
     for a, b in pairing:
@@ -535,6 +541,7 @@ def _run_unit(unit, moves, kind: str) -> dict:
     one are constructed.
     """
     names, faces, n, pairing = unit
+    kept = _without(faces, chain.from_iterable(pairing))
     gluings = _gluings(kind)
     feasible = [[gluings.index(g) for g in ok] for ok in _feasible_gluings(unit, kind)]
     found = []
@@ -548,7 +555,7 @@ def _run_unit(unit, moves, kind: str) -> dict:
                          reflect=gluings[g][1])
             for (a, b), g in zip(pairing, choice)
         )
-        cand = PolyhedralMap(_apply_bundle(faces, specs), n=n)
+        cand = PolyhedralMap(_apply_bundle(kept, specs), n=n)
         found.append((canonical_form(cand), cand.faces, specs))
     return {"names": names, "n": n, "built": built, "found": found}
 

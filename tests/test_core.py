@@ -9,6 +9,7 @@ from semap import (
     NotTriangulationError,
     PolyhedralMap,
     VertexLink,
+    canonical_form,
     face_sequence,
     is_d_covered,
     is_orientable,
@@ -156,13 +157,27 @@ def test_orientability_invariant_under_relabeling(all_catalog):
             assert is_orientable(entry.map.relabel(perm)) == want
 
 
-def test_surface_profile_refuses_maps_that_are_not_closed():
-    # the last face repeats vertex 1; without the closedness check this map
-    # got the answer "chi=1 (non-orientable), V=4 E=7 F=4"
-    m = PolyhedralMap([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 1)], n=4)
-    for fn in (surface_profile, is_orientable):
-        with pytest.raises(ValueError, match="closed map"):
+TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+
+@pytest.mark.parametrize("faces, n, message", [
+    ([], 3, "not a closed map: it has no faces"),
+    # without the closedness check surface_profile answered this one with
+    # "chi=1 (non-orientable), V=4 E=7 F=4"
+    (TETRA[:3] + [(1, 2, 1)], 4,
+     "not a closed map: face #3 (1, 2, 1) is not a polygon on vertices 0..3"),
+    (TETRA[:2] + [(0, 2, 4), (1, 2, 3)], 4,
+     "not a closed map: face #2 (0, 2, 4) is not a polygon on vertices 0..3"),
+    (TETRA[:3], 4, "not a closed map: edge (1, 2) lies in 1 face(s)"),
+    (TETRA + [(2, 3, 4)], 5, "not a closed map: edge (2, 3) lies in 3 face(s)"),
+], ids=["no-faces", "repeated-vertex", "label-out-of-range", "edge-in-1-face", "edge-in-3-faces"])
+def test_one_check_refuses_maps_that_are_not_closed(faces, n, message):
+    # the first bad face, else the first bad edge in the order the faces list them
+    m = PolyhedralMap(faces, n=n)
+    for fn in (canonical_form, is_orientable, surface_profile):
+        with pytest.raises(ValueError) as info:
             fn(m)
+        assert str(info.value) == message, fn.__name__
 
 
 def test_flag_moves_are_involutions_with_one_orbit_per_vertex(all_catalog):

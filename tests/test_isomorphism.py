@@ -2,6 +2,7 @@ import gc
 import importlib
 import random
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -208,6 +209,96 @@ def test_root_filter_partitions_like_rooting_at_every_flag(k1):
     by_form = partition(canonical_form)
     assert by_form == partition(every_root_code)
     assert len(by_form) == len(sample)
+
+
+def reference_canonical(m):
+    """(form, canonical faces, labelings) by the algorithm as first written,
+    sharing no code with the library: a flag builder over the raw faces, a
+    root key per flag, and one breadth-first walk per root that stops at its
+    first position worse than the best code so far.  Closed maps only."""
+    s0, s1, fv, flen = [], [], [], []
+    halves = {}  # (vertex, far end of edge) -> the flags on that half-edge
+    for face in m.faces:
+        k, b = len(face), len(fv)
+        for i, v in enumerate(face):
+            x = b + 2 * i
+            fv += (v, v)
+            flen += (k, k)
+            s1 += (x + 1, x)
+            s0 += (b + 2 * ((i + 1) % k) + 1, b + 2 * ((i - 1) % k))
+            halves.setdefault((v, face[(i + 1) % k]), []).append(x)
+            halves.setdefault((v, face[i - 1]), []).append(x + 1)
+    s2 = list(range(len(fv)))
+    for x, y in halves.values():
+        s2[x], s2[y] = y, x
+    around = {v: set() for v in range(m.n)}
+    sizes = {v: [] for v in range(m.n)}
+    for face in m.faces:
+        for i, v in enumerate(face):
+            around[v].update((face[i - 1], face[(i + 1) % len(face)]))
+            sizes[v].append(len(face))
+    sig = {v: (tuple(sorted(sizes[v])),
+               tuple(sorted(len(around[v] & around[w]) for w in around[v])))
+           for v in range(m.n)}
+    face_counts, sig_counts = Counter(flen), Counter(sig.values())
+    key = [(face_counts[flen[x]], flen[x], sig_counts[sig[fv[x]]], sig[fv[x]])
+           for x in range(len(fv))]
+
+    def walk(root, best):
+        order, queue, code = {root: 0}, [root], []
+        tied = best is not None
+        for x in queue:
+            for y in (s0[x], s1[x], s2[x]):
+                if y not in order:
+                    order[y] = len(queue)
+                    queue.append(y)
+                if tied and order[y] != best[len(code)]:
+                    if order[y] > best[len(code)]:
+                        return None
+                    tied = False
+                code.append(order[y])
+        return code, queue
+
+    best, queues = None, []
+    least = min(key)
+    for root in (x for x, k in enumerate(key) if k == least):
+        walked = walk(root, best)
+        if walked is None:
+            continue
+        if best is None or walked[0] < best:
+            best, queues = walked[0], []
+        queues.append(walked[1])
+    labelings = []
+    for queue in queues:
+        first = list(dict.fromkeys(fv[x] for x in queue))
+        labelings.append(tuple(first.index(v) for v in range(m.n)))
+    faces = []
+    for face in m.faces:
+        t = tuple(labelings[0][v] for v in face)
+        faces.append(min(s[i:] + s[:i] for s in (t, t[::-1]) for i in range(len(t))))
+    faces.sort()
+    form = f"{m.n}|" + ";".join(",".join(map(str, f)) for f in faces)
+    return form.encode(), tuple(faces), tuple(labelings)
+
+
+@pytest.fixture(scope="module")
+def k1_quad_classes(k1):
+    """The 482 classes of the exhaustive (3^5,4^2) chi=-8 search on K1."""
+    classes, _, _ = cylinder_search([k1], FaceSequence.from_string("3^5,4^2"), -8)
+    assert len(classes) == 482
+    return classes
+
+
+def test_canonical_data_equals_the_reference_algorithm(all_catalog, k1_quad_classes):
+    iso = importlib.import_module("semap.isomorphism")
+    rng = random.Random(23)
+    maps = [entry.map for entry in all_catalog]
+    maps += [scrambled(m, rng) for m in maps for _ in range(3)]
+    maps += k1_quad_classes
+    for m in maps:
+        data = iso._compute_canonical(m)
+        got = (data.form, data.canonical_faces, data.labelings)
+        assert got == reference_canonical(m), m.name
 
 
 def test_canonical_forms_separate_k1_k2_k3(k1, k2, k3):

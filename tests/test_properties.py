@@ -1,6 +1,6 @@
 """Property tests for the relabeling-invariance core."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semap import (
     FaceSequence,
@@ -29,6 +29,16 @@ def cyclic_variants(draw):
 def test_normalize_face_constant_on_the_dihedral_orbit(pair):
     face, variant = pair
     assert normalize_face(face) == normalize_face(variant)
+
+
+@given(st.lists(st.integers(0, 9), max_size=8))
+@example([])
+@example([2, 0, 1, 0])  # the least label repeats
+@example([0, 3, 0, 3])
+def test_normalize_face_is_the_least_rotation_or_reflection(face):
+    seq = tuple(face)
+    turns = [s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(s))]
+    assert normalize_face(face) == min(turns, default=())
 
 
 @given(st.permutations(list(range(12))))
