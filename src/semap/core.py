@@ -150,20 +150,19 @@ class PolyhedralMap:
 # Flags and components
 # ---------------------------------------------------------------------------
 
-def _flag_pass(m: PolyhedralMap):
-    """One pass over the faces: ``s0, s1, s2, fv`` as :func:`flags` gives
+def _flag_pass(faces, n: int):
+    """One pass over ``faces``: ``s0, s1, s2, fv`` as :func:`flags` gives
     them, and ``sides``, which maps each edge ``a*n + b`` (``a < b``) to the
     flags at ``a`` on it, one per face.  Raises :class:`ValueError` at the
     first face that is not a polygon on vertices ``0..n-1``."""
-    n = m.n
-    corners = list(chain.from_iterable(m.faces))
+    corners = list(chain.from_iterable(faces))
     nflags = 2 * len(corners)
     fv = list(chain.from_iterable(zip(corners, corners)))
     s0 = [0] * nflags  # x + 3 at even x, x - 3 at odd x, but where a face wraps round
     s0[::2] = range(3, nflags + 3, 2)
     s0[1::2] = range(-2, nflags - 2, 2)
     b = 0
-    for i, face in enumerate(m.faces):
+    for i, face in enumerate(faces):
         k = len(face)
         if k < 3 or len(set(face)) != k or max(face) >= n:
             raise ValueError(f"not a closed map: face #{i} {face} is not a polygon "
@@ -171,7 +170,7 @@ def _flag_pass(m: PolyhedralMap):
         s0[b + 2 * k - 2], s0[b + 1] = b + 1, b + 2 * k - 2
         b += 2 * k
     sides: defaultdict[int, list[int]] = defaultdict(list)
-    ahead = chain.from_iterable(f[1:] + f[:1] for f in m.faces)
+    ahead = chain.from_iterable(f[1:] + f[:1] for f in faces)
     for x, v, w in zip(count(0, 2), corners, ahead):
         if v < w:
             sides[v * n + w].append(x)
@@ -197,7 +196,7 @@ def flags(m: PolyhedralMap) -> tuple[list[int], list[int], list[int], list[int]]
     whose edge does not lie in exactly two faces is fixed by ``s2``.  Every
     face must be a polygon on vertices ``0..n-1`` (:class:`ValueError`).
     """
-    return _flag_pass(m)[:4]
+    return _flag_pass(m.faces, m.n)[:4]
 
 
 def closed_flags(m: PolyhedralMap):
@@ -213,7 +212,7 @@ def closed_flags(m: PolyhedralMap):
     """
     if not m.faces:
         raise ValueError("not a closed map: it has no faces")
-    s0, s1, s2, fv, sides = _flag_pass(m)
+    s0, s1, s2, fv, sides = _flag_pass(m.faces, m.n)
     neighbours: list[set[int]] = [set() for _ in range(m.n)]
     for e, ends in sides.items():
         if len(ends) != 2:
@@ -224,6 +223,72 @@ def closed_flags(m: PolyhedralMap):
         neighbours[c].add(a)
     flen = list(chain.from_iterable([len(f)] * (2 * len(f)) for f in m.faces))
     return list(zip(s0, s1, s2)), fv, flen, neighbours
+
+
+class FlagTemplate:
+    """The flags of ``faces`` on ``0..n-1`` and slots for walls of the given
+    sizes after them, from one flag pass.  ``fill(walls)`` writes only the
+    wall flags and ``s2`` across the edges the walls close, gives what
+    :func:`closed_flags` gives for the faces ``faces + walls``, and raises
+    :class:`ValueError` where it would: a face that is not a polygon on
+    ``0..n-1``, or an edge not in exactly two faces.
+    """
+
+    def __init__(self, faces, n: int, wall_sizes):
+        s0, _, s2, fv, sides = _flag_pass(faces, n)
+        self.n, self.start, self.wall_sizes = n, len(fv), tuple(wall_sizes)
+        for k in self.wall_sizes:  # s0 on a k-gon whose flags start at b, as in _flag_pass
+            b = len(s0)
+            s0 += chain.from_iterable((b + 2 * ((i + 1) % k) + 1, b + 2 * ((i - 1) % k))
+                                      for i in range(k))
+        s2 += range(len(fv), len(s0))
+        self.moves = list(zip(s0, [x ^ 1 for x in range(len(s0))], s2))
+        self.fv = fv + [0] * (len(s0) - len(fv))
+        self.flen = [k for k in chain(map(len, faces), self.wall_sizes) for _ in range(2 * k)]
+        self.neighbours: list[set[int]] = [set() for _ in range(n)]
+        self.sides = {}  # edge -> its flag at the lower end if on one face, else -1
+        for e, ends in sides.items():
+            if len(ends) > 2:
+                raise ValueError(f"not a closed map: edge {divmod(e, n)} lies in "
+                                 f"{len(ends)} face(s)")
+            a, c = divmod(e, n)
+            self.neighbours[a].add(c)
+            self.neighbours[c].add(a)
+            self.sides[e] = ends[0] if len(ends) == 1 else -1
+        self.open = sum(x >= 0 for x in self.sides.values())
+
+    def fill(self, walls):
+        """``(moves, fv, flen, neighbours)`` of ``faces + walls``."""
+        if tuple(map(len, walls)) != self.wall_sizes:
+            raise ValueError(f"walls of sizes {self.wall_sizes} expected")
+        n, moves, fv, sides, left = self.n, self.moves[:], self.fv[:], dict(self.sides), self.open
+        neighbours = [set(s) for s in self.neighbours]
+        b = self.start
+        for face in walls:
+            k = len(face)
+            if k < 3 or len(set(face)) != k or min(face) < 0 or max(face) >= n:
+                raise ValueError(f"not a closed map: wall {face} is not a polygon "
+                                 f"on vertices 0..{n - 1}")
+            fv[b:b + 2 * k] = chain.from_iterable(zip(face, face))
+            for x, v, w in zip(count(b, 2), face, face[1:] + face[:1]):
+                if v > w:
+                    v, w, x = w, v, moves[x][0]
+                p = sides.setdefault(v * n + w, x)
+                if p == x:  # a new edge: a later wall must close it
+                    left += 1
+                    neighbours[v].add(w)
+                    neighbours[w].add(v)
+                elif p < 0:
+                    raise ValueError(f"not a closed map: edge {(v, w)} lies in 3 or more faces")
+                else:  # pair the two sides at both ends of the edge
+                    sides[v * n + w], left, q, y = -1, left - 1, moves[p][0], moves[x][0]
+                    moves[p], moves[q] = (q, p ^ 1, x), (p, q ^ 1, y)
+                    moves[x], moves[y] = (y, x ^ 1, p), (x, y ^ 1, q)
+            b += 2 * k
+        if left:
+            e = next(e for e, x in sides.items() if x >= 0)
+            raise ValueError(f"not a closed map: edge {divmod(e, n)} lies in 1 face(s)")
+        return moves, fv, self.flen, neighbours
 
 
 def components(size: int, pairs) -> list[int]:

@@ -15,7 +15,9 @@ the automorphism group (an automorphism fixing a flag is the identity).
 One pass over the faces (:func:`semap.core.closed_flags`) checks the map
 is closed and gives the flag moves and what the root filter needs; the
 filter keys each face size and vertex once, and the walk from each root
-stops at its first step worse than the best code so far.
+stops at its first step worse than the best code so far.  The same core
+(:func:`canonical_core`) takes the flags the cylinder search fills in
+per candidate from a template.
 
 The canonical data of a map (form, relabeled faces, one labeling per
 minimal root) is computed at most once per :class:`PolyhedralMap` object
@@ -196,8 +198,14 @@ def _roots(fv, flen, neighbours) -> list[int]:
     return [x for x, (v, k) in enumerate(zip(fv, flen)) if k == size and key[v] == least]
 
 
-def _compute_canonical(m: PolyhedralMap) -> CanonData:
-    moves, fv, flen, neighbours = closed_flags(m)
+def canonical_core(faces, n: int, moves, fv, flen, neighbours) -> CanonData:
+    """The canonical data of the closed map with ``faces`` on ``0..n-1``,
+    from its flags as :func:`semap.core.closed_flags` gives them: one
+    algorithm, two callers.  Maps come through :func:`_compute_canonical`;
+    the cylinder search fills flags from a :class:`semap.core.FlagTemplate`
+    and builds no map per candidate.  Raises :class:`ValueError` unless the
+    flags are connected and every vertex lies on a face.
+    """
     best, best_queues = None, []
     for root in _roots(fv, flen, neighbours):
         verdict, code, queue = _walk(root, moves, best)
@@ -211,14 +219,18 @@ def _compute_canonical(m: PolyhedralMap) -> CanonData:
     labelings = []  # vertex -> canonical label, by first appearance along the walk
     for queue in best_queues:
         first = dict.fromkeys(map(fv.__getitem__, queue))
-        if len(first) < m.n:
+        if len(first) < n:
             raise ValueError("canonical form needs every vertex on a face")
         label = {v: c for c, v in enumerate(first)}
-        labelings.append(tuple(label[v] for v in range(m.n)))
+        labelings.append(tuple(label[v] for v in range(n)))
     relabel = labelings[0].__getitem__
-    faces = tuple(sorted(normalize_face(tuple(map(relabel, f))) for f in m.faces))
-    form = f"{m.n}|" + ";".join(",".join(map(str, f)) for f in faces)
+    faces = tuple(sorted(normalize_face(tuple(map(relabel, f))) for f in faces))
+    form = f"{n}|" + ";".join(",".join(map(str, f)) for f in faces)
     return CanonData(form=form.encode(), canonical_faces=faces, labelings=tuple(labelings))
+
+
+def _compute_canonical(m: PolyhedralMap) -> CanonData:
+    return canonical_core(m.faces, m.n, *closed_flags(m))
 
 
 def _canonical_data(m: PolyhedralMap) -> CanonData:

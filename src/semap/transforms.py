@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import (
@@ -13,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 from .core import (
     Face,
     FaceSequence,
+    FlagTemplate,
     FlatTypeError,
     ImpossibleTypeError,
     PolyhedralMap,
@@ -25,7 +27,7 @@ from .core import (
     surface_profile,
     validate,
 )
-from .isomorphism import automorphism_group, canonical_form
+from .isomorphism import automorphism_group, canonical_core
 
 
 class TransformError(ValueError):
@@ -390,8 +392,8 @@ def _apply_bundle(faces, specs) -> list[Face]:
     """The faces after every spec's two faces are removed and its walls added.
 
     This is the one place cylinder specs turn into faces: ``add_cylinder``
-    and provenance replay pass whole maps, the search the faces its unit
-    keeps, computed once per unit.
+    and provenance replay pass whole maps, the search the faces its slice
+    keeps, computed once per slice, and it reads the walls off the end.
     """
     out = _without(faces, chain.from_iterable((s.face_a, s.face_b) for s in specs))
     for s in specs:
@@ -532,18 +534,23 @@ def _orbit_least(choice: tuple, moves) -> bool:
     return True
 
 
-def _run_unit(unit, moves, kind: str) -> dict:
-    """Build the orbit-least gluings of one unit; return them with forms.
+def _run_unit(unit, moves, feasible, kind: str) -> dict:
+    """Build the orbit-least gluings of one slice of a unit; return them with
+    their canonical forms.
 
-    Gluings are screened per cylinder (:func:`_feasible_gluings`), which
-    makes every combination of feasible gluings a valid map of the target
-    type, and only those that no symmetry in ``moves`` maps onto an earlier
-    one are constructed.
+    A slice fixes the gluing of the unit's first site pair: ``feasible``
+    lists the gluing indices it allows per pair, all screened
+    (:func:`_feasible_gluings`), which makes every combination a valid map
+    of the target type.  Only those that no symmetry in ``moves`` maps onto
+    an earlier one are constructed: one flag template of the surviving
+    faces is built per slice, each gluing fills in its walls, and the flags
+    go straight to :func:`canonical_core`, with no map object per gluing.
     """
     names, faces, n, pairing = unit
     kept = _without(faces, chain.from_iterable(pairing))
     gluings = _gluings(kind)
-    feasible = [[gluings.index(g) for g in ok] for ok in _feasible_gluings(unit, kind)]
+    template = FlagTemplate(kept, n, [len(w) for a, b in pairing
+                                      for w in _wall_faces(a, b, 0, False)])
     found = []
     built = 0
     for choice in product(*feasible):
@@ -555,8 +562,9 @@ def _run_unit(unit, moves, kind: str) -> dict:
                          reflect=gluings[g][1])
             for (a, b), g in zip(pairing, choice)
         )
-        cand = PolyhedralMap(_apply_bundle(kept, specs), n=n)
-        found.append((canonical_form(cand), cand.faces, specs))
+        glued = _apply_bundle(kept, specs)
+        form = canonical_core(glued, n, *template.fill(glued[len(kept):])).form
+        found.append((form, glued, specs))
     return {"names": names, "n": n, "built": built, "found": found}
 
 
@@ -592,11 +600,17 @@ def cylinder_search(
     ``max_candidates`` truncates the deterministic candidate stream (at
     work-unit granularity, skipped bundles included); ``stats.exhausted``
     records whether the whole space was covered; a negative budget raises
-    ``ValueError``.  ``jobs > 1`` distributes units over processes; the
-    result list does not depend on ``jobs``.
+    ``ValueError``.  Each admitted unit is split into slices, one per
+    screened gluing of its first site pair, which concatenated in order
+    give the unit's gluings in order.  ``jobs > 1`` spreads the slices over
+    ``min(jobs, units)`` processes and de-duplicates their results as they
+    arrive; the result list does not depend on ``jobs``, and ``jobs < 1``
+    raises ``ValueError``.
     """
     if max_candidates is not None and max_candidates < 0:
         raise ValueError(f"max_candidates must be non-negative, got {max_candidates}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
     stats = CylinderSearchStats()
     results: list[PolyhedralMap] = []
@@ -623,11 +637,12 @@ def cylinder_search(
         stats.seconds = time.perf_counter() - t0
         return results, notes, stats
 
-    per_cyl = len(_gluings(kind))
+    gluings = _gluings(kind)
     symmetries: dict[tuple[int, ...], _BaseSymmetry] = {}
-    units, moves = [], []
+    admitted = 0
+    units, moves, feasible = [], [], []  # one entry per slice
     for combo, unit in _combo_units(base_maps, target_type, target_chi, kind):
-        cost = per_cyl ** len(unit[3])
+        cost = len(gluings) ** len(unit[3])
         if max_candidates is not None and stats.candidates + cost > max_candidates:
             stats.exhausted = False
             break
@@ -639,28 +654,31 @@ def cylinder_search(
         if unit_moves is None:
             stats.covered_units += 1
             continue
-        units.append(unit)
-        moves.append(unit_moves)
+        admitted += 1
+        ok = [[gluings.index(g) for g in gs] for gs in _feasible_gluings(unit, kind)]
+        for first in ok[0]:  # ``product`` varies the first pair slowest
+            units.append(unit)
+            moves.append(unit_moves)
+            feasible.append([[first]] + ok[1:])
 
     run = partial(_run_unit, kind=kind)
-    if jobs > 1 and len(units) > 1:
-        import concurrent.futures as cf
+    with ExitStack() as stack:
+        spread = map
+        if jobs > 1 and admitted > 1:
+            import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
-            outputs = list(pool.map(run, units, moves))
-    else:
-        outputs = list(map(run, units, moves))
-
-    for out in outputs:
-        stats.built += out["built"]
-        stats.valid += len(out["found"])
-        for form, faces, specs in out["found"]:
-            if form in seen:
-                continue
-            seen.add(form)
-            name = "+".join(out["names"]) + f"#{len(results) + 1}"
-            results.append(PolyhedralMap(faces, n=out["n"], name=name))
-            notes.append(CylinderProvenance(bases=out["names"], specs=specs))
+            pool = cf.ProcessPoolExecutor(max_workers=min(jobs, admitted))
+            spread = stack.enter_context(pool).map
+        for out in spread(run, units, moves, feasible):  # one slice at a time, in order
+            stats.built += out["built"]
+            stats.valid += len(out["found"])
+            for form, faces, specs in out["found"]:
+                if form in seen:
+                    continue
+                seen.add(form)
+                name = "+".join(out["names"]) + f"#{len(results) + 1}"
+                results.append(PolyhedralMap(faces, n=out["n"], name=name))
+                notes.append(CylinderProvenance(bases=out["names"], specs=specs))
     stats.classes = len(results)
     stats.seconds = time.perf_counter() - t0
     return results, notes, stats

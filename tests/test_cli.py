@@ -202,6 +202,13 @@ def test_negative_budgets_exit_2(capsys):
     assert (code, out) == (2, "") and "max_candidates" in err
 
 
+def test_fewer_than_one_job_exits_2(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "cylinder-search", "--type", "3^5,4^2", "--chi", "-8",
+                             "--bases", "k1", "--jobs", jobs)
+        assert (code, out) == (2, "") and "jobs" in err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "semap.cli", "profile", "K2"],

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -283,6 +284,58 @@ def test_negative_candidate_budget_is_refused(k1):
         cylinder_search([k1], T45, -8, max_candidates=-1)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_fewer_than_one_job_is_refused(k1, jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        cylinder_search([k1], T45, -8, max_candidates=1024, jobs=jobs)
+
+
+def test_flags_are_built_once_per_slice(k1, monkeypatch):
+    import sys
+
+    core, transforms = sys.modules["semap.core"], sys.modules["semap.transforms"]
+    passes, maps, per_slice = [0], [0], []
+    flag_pass, init, run_unit = core._flag_pass, PolyhedralMap.__init__, transforms._run_unit
+
+    def counting_pass(*args):
+        passes[0] += 1
+        return flag_pass(*args)
+
+    def counting_init(self, *args, **kwargs):
+        maps[0] += 1
+        init(self, *args, **kwargs)
+
+    def counting_unit(*args, **kwargs):
+        before = passes[0], maps[0]
+        out = run_unit(*args, **kwargs)
+        per_slice.append((passes[0] - before[0], maps[0] - before[1], out["built"]))
+        return out
+
+    monkeypatch.setattr(core, "_flag_pass", counting_pass)
+    monkeypatch.setattr(PolyhedralMap, "__init__", counting_init)
+    monkeypatch.setattr(transforms, "_run_unit", counting_unit)
+    _, _, stats = cylinder_search([k1], T45, -8)
+    assert stats.built == sum(built for _, _, built in per_slice) == 482
+    assert len(per_slice) < stats.built
+    assert {(p, m) for p, m, _ in per_slice} == {(1, 0)}
+
+
+def test_slices_concatenate_to_the_whole_unit(k1):
+    # ``product`` varies the first pair slowest, so the slices, in order, are the unit
+    from semap.transforms import (
+        _BaseSymmetry, _combo_units, _feasible_gluings, _gluings, _run_unit,
+    )
+
+    combo, unit = next(_combo_units([k1], T45, -8, "quad"))
+    moves = _BaseSymmetry([k1], combo).admit(unit[3], "quad")
+    feasible = [[_gluings("quad").index(g) for g in ok] for ok in _feasible_gluings(unit, "quad")]
+    whole = _run_unit(unit, moves, feasible, "quad")
+    parts = [_run_unit(unit, moves, [[g]] + feasible[1:], "quad") for g in feasible[0]]
+    assert len(parts) > 1 and whole["built"] > 0
+    assert [f for p in parts for f in p["found"]] == whole["found"]
+    assert sum(p["built"] for p in parts) == whole["built"]
+
+
 def test_search_pool_has_no_more_workers_than_units(k1, monkeypatch):
     import concurrent.futures as cf
 
@@ -330,6 +383,46 @@ def test_screen_accepts_exactly_the_valid_gluings(request, names, combo, kind, t
         assert screened == valid, specs
         accepted += screened
     assert accepted > 0
+
+
+@pytest.mark.parametrize("names, combo, kind, target, chi", [
+    pytest.param(("k1",), (0, 0), "quad", T45, -8, id="quad-target0--8"),
+    pytest.param(("k1",), (0, 0), "tri", T37, -10, id="tri-target1--10"),
+    pytest.param(("k1", "k3"), (0, 1), "quad", T45, -8, id="k1+k3-quad"),
+    pytest.param(("k1", "k3"), (0, 1), "tri", T37, -10, id="k1+k3-tri"),
+])
+def test_flag_template_equals_closed_flags(request, names, combo, kind, target, chi):
+    # every gluing of the first unit, screened or not: the template's flags are
+    # those of the built map (all of these close), and it refuses what closed_flags refuses
+    from semap.core import FlagTemplate, closed_flags
+    from semap.transforms import _apply_bundle, _combo_units, _gluings, _without
+
+    bases = [request.getfixturevalue(name) for name in names]
+    _, faces, n, pairing = next(u for c, u in _combo_units(bases, target, chi, kind) if c == combo)
+    kept = _without(faces, [f for pair in pairing for f in pair])
+    size, per_pair = (4, 4) if kind == "quad" else (3, 6)
+    template = FlagTemplate(kept, n, [size] * (len(pairing) * per_pair))
+    closed = 0
+    for choice in product(_gluings(kind), repeat=len(pairing)):
+        specs = [CylinderSpec(kind=kind, face_a=a, face_b=b, offset=o, reflect=r)
+                 for (a, b), (o, r) in zip(pairing, choice)]
+        glued = _apply_bundle(kept, specs)
+        try:
+            expected = closed_flags(PolyhedralMap(glued, n=n))
+        except ValueError:
+            with pytest.raises(ValueError):
+                template.fill(glued[len(kept):])
+            continue
+        assert template.fill(glued[len(kept):]) == expected, specs
+        closed += 1
+    assert closed > 0
+    # a dropped wall leaves a site edge open; a repeated wall puts its edges in three faces
+    walls = glued[len(kept):]
+    for broken, why in ((walls[:-1], "lies in 1 face"), (walls + walls[:1], "lies in 3")):
+        with pytest.raises(ValueError, match=why):
+            closed_flags(PolyhedralMap(kept + broken, n=n))
+        with pytest.raises(ValueError, match=why):
+            FlagTemplate(kept, n, map(len, broken)).fill(broken)
 
 
 def _unreduced_forms(bases, target, chi, kind, max_candidates):
@@ -397,6 +490,12 @@ def test_provenance_replays_to_the_same_map(k1, k2):
 def test_tri_search_finds_37_4_maps(k1):
     maps, notes, stats = cylinder_search([k1], T37, -10, max_candidates=2592)
     assert len(maps) >= 2
+    # two units, each in slices: the pool of two gives the same search
+    two = cylinder_search([k1], T37, -10, max_candidates=2592, jobs=2)
+    assert [(m.name, m.n, m.faces) for m in maps] == [(m.name, m.n, m.faces) for m in two[0]]
+    assert notes == two[1]
+    assert replace(stats, seconds=0) == replace(two[2], seconds=0)
+    assert (stats.bundles, stats.covered_units) == (2, 0)
     for m in maps:
         assert validate(m).ok
         assert semi_equivelar_type(m) == T37
