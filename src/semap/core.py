@@ -5,18 +5,19 @@ whose pairwise intersections are empty, a single vertex, or a single edge,
 and whose vertex links are single closed cycles.  Every operation here is a
 pure function over immutable :class:`PolyhedralMap` instances.
 
-The flag system (:func:`flags`) encodes a closed map as three involutions
-on its (vertex, edge, face) flags.  Link checks, orientability, the
-orientation double cover and canonical forms are all read off it, and
-:func:`components` is the one union-find for every connectivity question.
-Orientability and canonical forms take it from :func:`closed_flags`, one
-pass over the faces that also checks the map is closed.
+The flag system encodes a closed map as three involutions on its
+(vertex, edge, face) flags, and :class:`FlagTemplate` is the one pass over
+the faces that builds it: :func:`flags` for ``validate``'s link check,
+:func:`closed_flags` (the flags plus the check that the map is closed) for
+orientability, double covers and canonical forms, and the cylinder search,
+which fills in only the walls of each gluing.  :func:`components` is the
+one union-find for every connectivity question.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -150,145 +151,122 @@ class PolyhedralMap:
 # Flags and components
 # ---------------------------------------------------------------------------
 
-def _flag_pass(faces, n: int):
-    """One pass over ``faces``: ``s0, s1, s2, fv`` as :func:`flags` gives
-    them, and ``sides``, which maps each edge ``a*n + b`` (``a < b``) to the
-    flags at ``a`` on it, one per face.  Raises :class:`ValueError` at the
-    first face that is not a polygon on vertices ``0..n-1``."""
-    corners = list(chain.from_iterable(faces))
-    nflags = 2 * len(corners)
-    fv = list(chain.from_iterable(zip(corners, corners)))
-    s0 = [0] * nflags  # x + 3 at even x, x - 3 at odd x, but where a face wraps round
-    s0[::2] = range(3, nflags + 3, 2)
-    s0[1::2] = range(-2, nflags - 2, 2)
-    b = 0
-    for i, face in enumerate(faces):
-        k = len(face)
-        if k < 3 or len(set(face)) != k or max(face) >= n:
-            raise ValueError(f"not a closed map: face #{i} {face} is not a polygon "
-                             f"on vertices 0..{n - 1}")
-        s0[b + 2 * k - 2], s0[b + 1] = b + 1, b + 2 * k - 2
-        b += 2 * k
-    sides: defaultdict[int, list[int]] = defaultdict(list)
-    ahead = chain.from_iterable(f[1:] + f[:1] for f in faces)
-    for x, v, w in zip(count(0, 2), corners, ahead):
-        if v < w:
-            sides[v * n + w].append(x)
-        else:
-            sides[w * n + v].append(s0[x])
-    s1 = [x ^ 1 for x in range(nflags)]
-    s2 = list(range(nflags))
-    for ends in sides.values():
-        if len(ends) == 2:
-            p, r = ends
-            s2[p], s2[r], s2[s0[p]], s2[s0[r]] = r, p, s0[r], s0[p]
-    return s0, s1, s2, fv, sides
-
-
-def flags(m: PolyhedralMap) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The flag involutions ``s0, s1, s2`` and the vertex of every flag.
+class FlagTemplate:
+    """The flags of ``faces`` on ``0..n-1``, with slots for walls of the
+    given sizes after them: the one place flags are numbered.
 
     A flag is a mutually incident (vertex, edge, face) triple; ``s0``,
     ``s1`` and ``s2`` swap its vertex, edge and face respectively.  Faces
-    contribute flags in order: flag ``b + 2*i`` of the face whose flags
-    start at ``b`` sits at boundary position ``i`` and takes the edge to the
-    next vertex, flag ``b + 2*i + 1`` the edge to the previous one.  A flag
-    whose edge does not lie in exactly two faces is fixed by ``s2``.  Every
-    face must be a polygon on vertices ``0..n-1`` (:class:`ValueError`).
+    contribute flags in order, walls last: flag ``b + 2*i`` of the face
+    whose flags start at ``b`` sits at boundary position ``i`` and takes
+    the edge to the next vertex, flag ``b + 2*i + 1`` the edge to the
+    previous one.  ``s2`` pairs the flags of an edge that lies in exactly
+    two faces and fixes every other flag.  ``fv[x]`` is the vertex of flag
+    ``x`` (wall flags get theirs from ``fill``), ``flen[x]`` the size of its
+    face, and ``neighbours[v]`` the vertices joined to ``v`` by an edge.
+    ``sides`` holds one state per edge ``a*n + b`` (``a < b``): its flag at
+    ``a`` if it lies in one face, else minus the number of faces it lies in.
+
+    The constructor raises :class:`ValueError` only at the first face that
+    is not a polygon on ``0..n-1``, so it serves maps that are not closed;
+    labels are non-negative, as :class:`PolyhedralMap` makes them.
+    ``fill(walls)`` writes the wall flags and checks the whole map is
+    closed; the template is left as it was, for the next walls.
     """
-    return _flag_pass(m.faces, m.n)[:4]
+
+    def __init__(self, faces, n: int, wall_sizes=()):
+        self.n, self.first_wall, self.wall_sizes = n, len(faces), tuple(wall_sizes)
+        for i, face in enumerate(faces):
+            self._require_polygon(i, face)
+        sizes = [*map(len, faces), *self.wall_sizes]
+        nflags = 2 * sum(sizes)
+        s0 = [0] * nflags  # x + 3 at even x, x - 3 at odd x, but where a face wraps round
+        s0[::2] = range(3, nflags + 3, 2)
+        s0[1::2] = range(-2, nflags - 2, 2)
+        b = 0
+        for k in sizes:
+            s0[b + 2 * k - 2], s0[b + 1] = b + 1, b + 2 * k - 2
+            b += 2 * k
+        corners = list(chain.from_iterable(faces))
+        self.start = 2 * len(corners)
+        self.s0, self.s1, self.s2 = s0, [x ^ 1 for x in range(nflags)], list(range(nflags))
+        self.fv = list(chain.from_iterable(zip(corners, corners)))
+        self.flen = list(chain.from_iterable([k] * (2 * k) for k in sizes))
+        self.neighbours: list[set[int]] = [set() for _ in range(n)]
+        self.sides: dict[int, int] = {}
+        self.open, self.over = self._join(faces, 0, self.sides, self.neighbours, self.s2)
+        if self.over:  # fix s2 again on the edges in three or more faces
+            for x in range(self.start):
+                v, w = sorted((self.fv[x], self.fv[s0[x]]))
+                if self.sides[v * n + w] < -2:
+                    self.s2[x] = x
+
+    def _require_polygon(self, i: int, face) -> None:
+        k, n = len(face), self.n
+        if k < 3 or len(set(face)) != k or max(face) >= n:
+            raise ValueError(f"not a closed map: face #{i} {face} is not a polygon "
+                             f"on vertices 0..{n - 1}")
+
+    def _join(self, faces, b: int, sides, neighbours, s2):
+        """Add the edges of ``faces``, whose flags start at ``b``, to
+        ``sides`` and ``neighbours``, and pair ``s2`` where two sides of an
+        edge meet.  Returns by how many the open (one-face) and overfull
+        (three or more faces) edges grew."""
+        n, s0, opened, over = self.n, self.s0, 0, 0
+        ahead = chain.from_iterable(f[1:] + f[:1] for f in faces)
+        for x, v, w in zip(count(b, 2), chain.from_iterable(faces), ahead):
+            if v > w:
+                v, w, x = w, v, s0[x]
+            e = v * n + w
+            p = sides.setdefault(e, x)
+            if p == x:
+                opened += 1
+                neighbours[v].add(w)
+                neighbours[w].add(v)
+            elif p >= 0:  # pair the two sides, at both ends of the edge
+                sides[e], opened, q, y = -2, opened - 1, s0[p], s0[x]
+                s2[p], s2[x], s2[q], s2[y] = x, p, y, q
+            else:
+                sides[e], over = p - 1, over + (p == -2)
+        return opened, over
+
+    def fill(self, walls=()):
+        """``(moves, fv, flen, neighbours)`` of the faces followed by
+        ``walls``, with ``moves[x] = (s0[x], s1[x], s2[x])``.  Raises
+        :class:`ValueError` unless that map is closed: at the first wall that
+        is not a polygon on ``0..n-1``, else at the first edge, in the order
+        the faces list them, that does not lie in exactly two faces."""
+        if tuple(map(len, walls)) != self.wall_sizes:
+            raise ValueError(f"walls of sizes {self.wall_sizes} expected")
+        for i, face in enumerate(walls, self.first_wall):
+            self._require_polygon(i, face)
+        sides, s2, neighbours = dict(self.sides), self.s2[:], [set(s) for s in self.neighbours]
+        opened, over = self._join(walls, self.start, sides, neighbours, s2)
+        if self.open + opened or self.over + over:
+            e, p = next((e, p) for e, p in sides.items() if p >= 0 or p < -2)
+            raise ValueError(f"not a closed map: edge {divmod(e, self.n)} lies in "
+                             f"{1 if p >= 0 else -p} face(s)")
+        fv = self.fv + [v for v in chain.from_iterable(walls) for _ in (0, 1)]
+        return list(zip(self.s0, self.s1, s2)), fv, self.flen, neighbours
+
+
+def flags(m: PolyhedralMap) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The flag involutions ``s0, s1, s2`` of ``m`` and the vertex of every
+    flag, numbered as in :class:`FlagTemplate`.  Every face must be a
+    polygon on vertices ``0..n-1`` (:class:`ValueError`); edges may lie in
+    any number of faces."""
+    t = FlagTemplate(m.faces, m.n)
+    return t.s0, t.s1, t.s2, t.fv
 
 
 def closed_flags(m: PolyhedralMap):
-    """The flag moves of a closed map, the vertex and face size of every
-    flag, and the neighbours of every vertex, from one pass over the faces.
-
-    ``moves[x]`` is ``(s0[x], s1[x], s2[x])`` as :func:`flags` gives them,
-    ``fv[x]`` the vertex of flag ``x``, ``flen[x]`` the size of its face, and
-    ``neighbours[v]`` the vertices joined to ``v`` by an edge, read off the
-    flags.  Raises :class:`ValueError` unless ``m`` is closed: it has a
-    face, every face has at least 3 distinct labels below ``n``, and every
-    edge lies in exactly two faces.  Nothing is cached on ``m``.
-    """
+    """``FlagTemplate(m.faces, m.n).fill()``: the flag moves, the vertex and
+    face size of every flag, and the neighbours of every vertex of a closed
+    map.  Raises :class:`ValueError` unless ``m`` has a face and is closed
+    (:meth:`FlagTemplate.fill`).  Nothing is cached on ``m``."""
     if not m.faces:
         raise ValueError("not a closed map: it has no faces")
-    s0, s1, s2, fv, sides = _flag_pass(m.faces, m.n)
-    neighbours: list[set[int]] = [set() for _ in range(m.n)]
-    for e, ends in sides.items():
-        if len(ends) != 2:
-            raise ValueError(f"not a closed map: edge {divmod(e, m.n)} lies in "
-                             f"{len(ends)} face(s)")
-        a, c = fv[ends[0]], fv[s0[ends[0]]]
-        neighbours[a].add(c)
-        neighbours[c].add(a)
-    flen = list(chain.from_iterable([len(f)] * (2 * len(f)) for f in m.faces))
-    return list(zip(s0, s1, s2)), fv, flen, neighbours
-
-
-class FlagTemplate:
-    """The flags of ``faces`` on ``0..n-1`` and slots for walls of the given
-    sizes after them, from one flag pass.  ``fill(walls)`` writes only the
-    wall flags and ``s2`` across the edges the walls close, gives what
-    :func:`closed_flags` gives for the faces ``faces + walls``, and raises
-    :class:`ValueError` where it would: a face that is not a polygon on
-    ``0..n-1``, or an edge not in exactly two faces.
-    """
-
-    def __init__(self, faces, n: int, wall_sizes):
-        s0, _, s2, fv, sides = _flag_pass(faces, n)
-        self.n, self.start, self.wall_sizes = n, len(fv), tuple(wall_sizes)
-        for k in self.wall_sizes:  # s0 on a k-gon whose flags start at b, as in _flag_pass
-            b = len(s0)
-            s0 += chain.from_iterable((b + 2 * ((i + 1) % k) + 1, b + 2 * ((i - 1) % k))
-                                      for i in range(k))
-        s2 += range(len(fv), len(s0))
-        self.moves = list(zip(s0, [x ^ 1 for x in range(len(s0))], s2))
-        self.fv = fv + [0] * (len(s0) - len(fv))
-        self.flen = [k for k in chain(map(len, faces), self.wall_sizes) for _ in range(2 * k)]
-        self.neighbours: list[set[int]] = [set() for _ in range(n)]
-        self.sides = {}  # edge -> its flag at the lower end if on one face, else -1
-        for e, ends in sides.items():
-            if len(ends) > 2:
-                raise ValueError(f"not a closed map: edge {divmod(e, n)} lies in "
-                                 f"{len(ends)} face(s)")
-            a, c = divmod(e, n)
-            self.neighbours[a].add(c)
-            self.neighbours[c].add(a)
-            self.sides[e] = ends[0] if len(ends) == 1 else -1
-        self.open = sum(x >= 0 for x in self.sides.values())
-
-    def fill(self, walls):
-        """``(moves, fv, flen, neighbours)`` of ``faces + walls``."""
-        if tuple(map(len, walls)) != self.wall_sizes:
-            raise ValueError(f"walls of sizes {self.wall_sizes} expected")
-        n, moves, fv, sides, left = self.n, self.moves[:], self.fv[:], dict(self.sides), self.open
-        neighbours = [set(s) for s in self.neighbours]
-        b = self.start
-        for face in walls:
-            k = len(face)
-            if k < 3 or len(set(face)) != k or min(face) < 0 or max(face) >= n:
-                raise ValueError(f"not a closed map: wall {face} is not a polygon "
-                                 f"on vertices 0..{n - 1}")
-            fv[b:b + 2 * k] = chain.from_iterable(zip(face, face))
-            for x, v, w in zip(count(b, 2), face, face[1:] + face[:1]):
-                if v > w:
-                    v, w, x = w, v, moves[x][0]
-                p = sides.setdefault(v * n + w, x)
-                if p == x:  # a new edge: a later wall must close it
-                    left += 1
-                    neighbours[v].add(w)
-                    neighbours[w].add(v)
-                elif p < 0:
-                    raise ValueError(f"not a closed map: edge {(v, w)} lies in 3 or more faces")
-                else:  # pair the two sides at both ends of the edge
-                    sides[v * n + w], left, q, y = -1, left - 1, moves[p][0], moves[x][0]
-                    moves[p], moves[q] = (q, p ^ 1, x), (p, q ^ 1, y)
-                    moves[x], moves[y] = (y, x ^ 1, p), (x, y ^ 1, q)
-            b += 2 * k
-        if left:
-            e = next(e for e, x in sides.items() if x >= 0)
-            raise ValueError(f"not a closed map: edge {divmod(e, n)} lies in 1 face(s)")
-        return moves, fv, self.flen, neighbours
+    return FlagTemplate(m.faces, m.n).fill()
 
 
 def components(size: int, pairs) -> list[int]:

@@ -12,12 +12,13 @@ some flag of one walks exactly like some flag of the other, which is
 precisely an isomorphism.  Roots with minimal code are in bijection with
 the automorphism group (an automorphism fixing a flag is the identity).
 
-One pass over the faces (:func:`semap.core.closed_flags`) checks the map
-is closed and gives the flag moves and what the root filter needs; the
-filter keys each face size and vertex once, and the walk from each root
-stops at its first step worse than the best code so far.  The same core
-(:func:`canonical_core`) takes the flags the cylinder search fills in
-per candidate from a template.
+The flags come from one pass over the faces, :class:`semap.core.FlagTemplate`:
+for a map through :func:`semap.core.closed_flags`, which also checks the
+map is closed, and in the cylinder search from one template per slice,
+filled with each candidate's walls.  Either way :func:`canonical_core`
+gets the flag moves and what the root filter needs; the filter keys each
+face size and vertex once, and the walk from each root stops at its first
+step worse than the best code so far.
 
 The canonical data of a map (form, relabeled faces, one labeling per
 minimal root) is computed at most once per :class:`PolyhedralMap` object
@@ -200,10 +201,10 @@ def _roots(fv, flen, neighbours) -> list[int]:
 
 def canonical_core(faces, n: int, moves, fv, flen, neighbours) -> CanonData:
     """The canonical data of the closed map with ``faces`` on ``0..n-1``,
-    from its flags as :func:`semap.core.closed_flags` gives them: one
+    from its flags as :meth:`semap.core.FlagTemplate.fill` gives them: one
     algorithm, two callers.  Maps come through :func:`_compute_canonical`;
-    the cylinder search fills flags from a :class:`semap.core.FlagTemplate`
-    and builds no map per candidate.  Raises :class:`ValueError` unless the
+    the cylinder search fills one template per slice and builds no map per
+    candidate.  Raises :class:`ValueError` unless the
     flags are connected and every vertex lies on a face.
     """
     best, best_queues = None, []

@@ -18,8 +18,8 @@ from .core import (
     FlatTypeError,
     ImpossibleTypeError,
     PolyhedralMap,
+    closed_flags,
     components,
-    flags,
     normalize_face,
     same_face,
     sem_vertex_count,
@@ -65,9 +65,9 @@ def double_cover(m: PolyhedralMap) -> tuple[PolyhedralMap, CoveringWitness]:
 
     # Flag x on sheet t is 2*x + t.  Cover vertices are numbered by base
     # vertex, then by least flag.
-    _, s1, s2, fv = flags(m)
+    moves, fv, _, _ = closed_flags(m)
     orbit = components(2 * len(fv), (
-        (2 * x + t, 2 * s[x] + 1 - t) for s in (s1, s2) for x in range(len(fv)) for t in (0, 1)
+        (2 * x + t, 2 * y + 1 - t) for x, move in enumerate(moves) for y in move[1:] for t in (0, 1)
     ))
     roots = sorted(set(orbit), key=lambda r: (fv[r // 2], r))
     cover_id = {r: i for i, r in enumerate(roots)}
@@ -391,9 +391,8 @@ def _without(faces, removed) -> list[Face]:
 def _apply_bundle(faces, specs) -> list[Face]:
     """The faces after every spec's two faces are removed and its walls added.
 
-    This is the one place cylinder specs turn into faces: ``add_cylinder``
-    and provenance replay pass whole maps, the search the faces its slice
-    keeps, computed once per slice, and it reads the walls off the end.
+    This is the one place cylinder specs turn into faces: ``add_cylinder``,
+    provenance replay and the search, for each new class, pass whole maps.
     """
     out = _without(faces, chain.from_iterable((s.face_a, s.face_b) for s in specs))
     for s in specs:
@@ -408,7 +407,8 @@ def _feasible_gluings(unit, kind: str) -> list[list[tuple[int, bool]]]:
     A wall face joins vertices of ``a`` to vertices of ``b``.  If a
     surviving face also holds such a cross pair, it meets the wall face in
     two vertices that are not a shared edge, or puts an edge in three
-    faces, so validation must fail.
+    faces, so validation must fail.  No site holds a cross pair (sites are
+    disjoint, below), so the faces of the bases are read whole.
 
     The screen is also sufficient: every combination of screened gluings
     gives a valid map of the target type.  Assume the bases are valid maps
@@ -446,8 +446,7 @@ def _feasible_gluings(unit, kind: str) -> list[list[tuple[int, bool]]]:
     quadrangle at every vertex.
     """
     _, faces, n, pairing = unit
-    surviving = PolyhedralMap(_without(faces, chain.from_iterable(pairing)), n=n)
-    at = {v: set(fs) for v, fs in surviving.vertex_faces.items()}
+    at = {v: set(fs) for v, fs in PolyhedralMap(faces, n=n).vertex_faces.items()}
     out = []
     for a, b in pairing:
         side = set(a)
@@ -534,20 +533,19 @@ def _orbit_least(choice: tuple, moves) -> bool:
     return True
 
 
-def _run_unit(unit, moves, feasible, kind: str) -> dict:
-    """Build the orbit-least gluings of one slice of a unit; return them with
-    their canonical forms.
+def _run_unit(kept, pairing, moves, feasible, n: int, kind: str) -> tuple[int, list]:
+    """Build the orbit-least gluings of one slice of a unit: how many, and
+    the canonical form and gluing choice of each.
 
-    A slice fixes the gluing of the unit's first site pair: ``feasible``
-    lists the gluing indices it allows per pair, all screened
+    ``kept`` is what the unit's bases keep once its sites are removed.  A
+    slice fixes the gluing of the first site pair: ``feasible`` lists the
+    gluing indices it allows per pair, all screened
     (:func:`_feasible_gluings`), which makes every combination a valid map
     of the target type.  Only those that no symmetry in ``moves`` maps onto
-    an earlier one are constructed: one flag template of the surviving
-    faces is built per slice, each gluing fills in its walls, and the flags
-    go straight to :func:`canonical_core`, with no map object per gluing.
+    an earlier one are constructed: one :class:`FlagTemplate` of ``kept``
+    per slice, filled with each gluing's walls, whose flags go straight to
+    :func:`canonical_core`.  No spec and no map object is made per gluing.
     """
-    names, faces, n, pairing = unit
-    kept = _without(faces, chain.from_iterable(pairing))
     gluings = _gluings(kind)
     template = FlagTemplate(kept, n, [len(w) for a, b in pairing
                                       for w in _wall_faces(a, b, 0, False)])
@@ -557,15 +555,9 @@ def _run_unit(unit, moves, feasible, kind: str) -> dict:
         if not _orbit_least(choice, moves):
             continue
         built += 1
-        specs = tuple(
-            CylinderSpec(kind=kind, face_a=a, face_b=b, offset=gluings[g][0],
-                         reflect=gluings[g][1])
-            for (a, b), g in zip(pairing, choice)
-        )
-        glued = _apply_bundle(kept, specs)
-        form = canonical_core(glued, n, *template.fill(glued[len(kept):])).form
-        found.append((form, glued, specs))
-    return {"names": names, "n": n, "built": built, "found": found}
+        walls = [w for (a, b), g in zip(pairing, choice) for w in _wall_faces(a, b, *gluings[g])]
+        found.append((canonical_core(kept + walls, n, *template.fill(walls)).form, choice))
+    return built, found
 
 
 def cylinder_search(
@@ -624,7 +616,7 @@ def cylinder_search(
                 f"base {b.name or f'#{i}'} is not a valid map: {report.violations[0]}")
 
     try:
-        sem_vertex_count(target_type, target_chi)
+        target_n = sem_vertex_count(target_type, target_chi)
     except (ImpossibleTypeError, FlatTypeError):
         stats.seconds = time.perf_counter() - t0
         return results, notes, stats
@@ -640,7 +632,7 @@ def cylinder_search(
     gluings = _gluings(kind)
     symmetries: dict[tuple[int, ...], _BaseSymmetry] = {}
     admitted = 0
-    units, moves, feasible = [], [], []  # one entry per slice
+    units, kept, moves, feasible = [], [], [], []  # one entry per slice
     for combo, unit in _combo_units(base_maps, target_type, target_chi, kind):
         cost = len(gluings) ** len(unit[3])
         if max_candidates is not None and stats.candidates + cost > max_candidates:
@@ -655,13 +647,15 @@ def cylinder_search(
             stats.covered_units += 1
             continue
         admitted += 1
+        survivors = _without(unit[1], chain.from_iterable(unit[3]))
         ok = [[gluings.index(g) for g in gs] for gs in _feasible_gluings(unit, kind)]
         for first in ok[0]:  # ``product`` varies the first pair slowest
             units.append(unit)
+            kept.append(survivors)
             moves.append(unit_moves)
             feasible.append([[first]] + ok[1:])
 
-    run = partial(_run_unit, kind=kind)
+    run = partial(_run_unit, n=target_n, kind=kind)
     with ExitStack() as stack:
         spread = map
         if jobs > 1 and admitted > 1:
@@ -669,16 +663,19 @@ def cylinder_search(
 
             pool = cf.ProcessPoolExecutor(max_workers=min(jobs, admitted))
             spread = stack.enter_context(pool).map
-        for out in spread(run, units, moves, feasible):  # one slice at a time, in order
-            stats.built += out["built"]
-            stats.valid += len(out["found"])
-            for form, faces, specs in out["found"]:
+        slices = spread(run, kept, [unit[3] for unit in units], moves, feasible)
+        for (names, faces, n, pairing), (built, found) in zip(units, slices):  # in order
+            stats.built += built
+            stats.valid += len(found)
+            for form, choice in found:
                 if form in seen:
                     continue
                 seen.add(form)
-                name = "+".join(out["names"]) + f"#{len(results) + 1}"
-                results.append(PolyhedralMap(faces, n=out["n"], name=name))
-                notes.append(CylinderProvenance(bases=out["names"], specs=specs))
+                specs = tuple(CylinderSpec(kind, a, b, *gluings[g])
+                              for (a, b), g in zip(pairing, choice))
+                name = "+".join(names) + f"#{len(results) + 1}"
+                results.append(PolyhedralMap(_apply_bundle(faces, specs), n=n, name=name))
+                notes.append(CylinderProvenance(bases=names, specs=specs))
     stats.classes = len(results)
     stats.seconds = time.perf_counter() - t0
     return results, notes, stats

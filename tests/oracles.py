@@ -163,3 +163,41 @@ def partial_map_admits(faces, face, n: int, target) -> bool:
         if not cycles and len(corners) >= degree:
             return False
     return True
+
+
+def link_oracle(m: PolyhedralMap) -> set[int]:
+    """Vertices whose link is broken, read off the raw face list.
+
+    Only well-formed faces count: at least 3 labels, none repeated, all
+    below ``n``.  A vertex on fewer than three of them is broken.  A vertex
+    with an edge in other than two of them is skipped: there the link is
+    undefined.  Otherwise the faces at the vertex, joined when they share
+    an edge at it, must be connected; each has two edges at the vertex and
+    each edge two faces, so connected means one cycle.
+    """
+    good = [f for f in m.faces
+            if len(f) >= 3 and len(set(f)) == len(f) and max(f) < m.n]
+    on_edge: dict[frozenset, list[int]] = {}
+    for i, f in enumerate(good):
+        for j in range(len(f)):
+            on_edge.setdefault(frozenset((f[j - 1], f[j])), []).append(i)
+    broken = set()
+    for v in range(m.n):
+        at = [i for i, f in enumerate(good) if v in f]
+        if len(at) < 3:
+            broken.add(v)
+            continue
+        edges = [fs for e, fs in on_edge.items() if v in e]
+        if any(len(fs) != 2 for fs in edges):
+            continue
+        reached = {at[0]}
+        grew = True
+        while grew:
+            grew = False
+            for a, b in edges:
+                if (a in reached) != (b in reached):
+                    reached.update((a, b))
+                    grew = True
+        if len(reached) != len(at):
+            broken.add(v)
+    return broken

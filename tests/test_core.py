@@ -170,7 +170,11 @@ TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
      "not a closed map: face #2 (0, 2, 4) is not a polygon on vertices 0..3"),
     (TETRA[:3], 4, "not a closed map: edge (1, 2) lies in 1 face(s)"),
     (TETRA + [(2, 3, 4)], 5, "not a closed map: edge (2, 3) lies in 3 face(s)"),
-], ids=["no-faces", "repeated-vertex", "label-out-of-range", "edge-in-1-face", "edge-in-3-faces"])
+    # both defects at once: the edge listed first is named, whatever its count
+    ([(4, 2, 3)] + TETRA, 5, "not a closed map: edge (2, 4) lies in 1 face(s)"),
+    ([(2, 3, 4)] + TETRA, 5, "not a closed map: edge (2, 3) lies in 3 face(s)"),
+], ids=["no-faces", "repeated-vertex", "label-out-of-range", "edge-in-1-face", "edge-in-3-faces",
+        "1-face-edge-before-3-face-edge", "3-face-edge-before-1-face-edge"])
 def test_one_check_refuses_maps_that_are_not_closed(faces, n, message):
     # the first bad face, else the first bad edge in the order the faces list them
     m = PolyhedralMap(faces, n=n)

@@ -20,6 +20,7 @@ from semap import (
     validate,
     vertex_link,
 )
+from oracles import link_oracle
 
 MUTATIONS = ("drop", "duplicate", "swap", "out-of-range", "repeat")
 
@@ -76,6 +77,22 @@ def test_mutated_maps_are_reported_or_refused(m):
     for v in range(m.n):
         answers_or_value_error(vertex_link, m, v)
 
+
+@st.composite
+def pinched_unions(draw):
+    """Two catalog maps glued at one vertex: every edge lies in two faces,
+    but the faces at the glued vertex form two cycles."""
+    a, b = (draw(st.sampled_from(catalog())).map for _ in range(2))
+    label = [draw(st.integers(0, a.n - 1))] + list(range(a.n, a.n + b.n - 1))
+    return PolyhedralMap(a.faces + tuple(tuple(label[v] for v in f) for f in b.faces),
+                         n=a.n + b.n - 1)
+
+
+@given(st.one_of(mutated_maps(), pinched_unions()))
+@settings(max_examples=300, deadline=None)
+def test_link_verdicts_match_the_oracle(m):
+    reported = {v.witness[0] for v in validate(m) if v.axiom == "link"}
+    assert reported == link_oracle(m)
 
 
 def spec_face(draw, m: PolyhedralMap, size: int) -> tuple[int, ...]:

@@ -295,11 +295,12 @@ def test_flags_are_built_once_per_slice(k1, monkeypatch):
 
     core, transforms = sys.modules["semap.core"], sys.modules["semap.transforms"]
     passes, maps, per_slice = [0], [0], []
-    flag_pass, init, run_unit = core._flag_pass, PolyhedralMap.__init__, transforms._run_unit
+    template_init, init = core.FlagTemplate.__init__, PolyhedralMap.__init__
+    run_unit = transforms._run_unit
 
-    def counting_pass(*args):
+    def counting_template(*args, **kwargs):
         passes[0] += 1
-        return flag_pass(*args)
+        template_init(*args, **kwargs)
 
     def counting_init(self, *args, **kwargs):
         maps[0] += 1
@@ -308,32 +309,41 @@ def test_flags_are_built_once_per_slice(k1, monkeypatch):
     def counting_unit(*args, **kwargs):
         before = passes[0], maps[0]
         out = run_unit(*args, **kwargs)
-        per_slice.append((passes[0] - before[0], maps[0] - before[1], out["built"]))
+        per_slice.append((passes[0] - before[0], maps[0] - before[1], out[0]))
         return out
 
-    monkeypatch.setattr(core, "_flag_pass", counting_pass)
+    monkeypatch.setattr(core.FlagTemplate, "__init__", counting_template)
     monkeypatch.setattr(PolyhedralMap, "__init__", counting_init)
     monkeypatch.setattr(transforms, "_run_unit", counting_unit)
     _, _, stats = cylinder_search([k1], T45, -8)
     assert stats.built == sum(built for _, _, built in per_slice) == 482
     assert len(per_slice) < stats.built
     assert {(p, m) for p, m, _ in per_slice} == {(1, 0)}
+    # and one flag pass per call on the public path (a fresh map: nothing memoised)
+    for fn in (canonical_form, surface_profile, validate):
+        fresh = k1.relabel(list(range(k1.n)))
+        before = passes[0]
+        fn(fresh)
+        assert passes[0] - before == 1, fn.__name__
 
 
 def test_slices_concatenate_to_the_whole_unit(k1):
     # ``product`` varies the first pair slowest, so the slices, in order, are the unit
     from semap.transforms import (
-        _BaseSymmetry, _combo_units, _feasible_gluings, _gluings, _run_unit,
+        _BaseSymmetry, _combo_units, _feasible_gluings, _gluings, _run_unit, _without,
     )
 
     combo, unit = next(_combo_units([k1], T45, -8, "quad"))
-    moves = _BaseSymmetry([k1], combo).admit(unit[3], "quad")
+    _, faces, n, pairing = unit
+    moves = _BaseSymmetry([k1], combo).admit(pairing, "quad")
     feasible = [[_gluings("quad").index(g) for g in ok] for ok in _feasible_gluings(unit, "quad")]
-    whole = _run_unit(unit, moves, feasible, "quad")
-    parts = [_run_unit(unit, moves, [[g]] + feasible[1:], "quad") for g in feasible[0]]
-    assert len(parts) > 1 and whole["built"] > 0
-    assert [f for p in parts for f in p["found"]] == whole["found"]
-    assert sum(p["built"] for p in parts) == whole["built"]
+    kept = _without(faces, [f for pair in pairing for f in pair])
+    whole = _run_unit(kept, pairing, moves, feasible, n, "quad")
+    parts = [_run_unit(kept, pairing, moves, [[g]] + feasible[1:], n, "quad")
+             for g in feasible[0]]
+    assert len(parts) > 1 and whole[0] > 0
+    assert [f for p in parts for f in p[1]] == whole[1]
+    assert sum(p[0] for p in parts) == whole[0]
 
 
 def test_search_pool_has_no_more_workers_than_units(k1, monkeypatch):
@@ -393,7 +403,8 @@ def test_screen_accepts_exactly_the_valid_gluings(request, names, combo, kind, t
 ])
 def test_flag_template_equals_closed_flags(request, names, combo, kind, target, chi):
     # every gluing of the first unit, screened or not: the template's flags are
-    # those of the built map (all of these close), and it refuses what closed_flags refuses
+    # those of the built map (all of these close), and it refuses what closed_flags
+    # refuses, with the same message
     from semap.core import FlagTemplate, closed_flags
     from semap.transforms import _apply_bundle, _combo_units, _gluings, _without
 
@@ -409,9 +420,10 @@ def test_flag_template_equals_closed_flags(request, names, combo, kind, target, 
         glued = _apply_bundle(kept, specs)
         try:
             expected = closed_flags(PolyhedralMap(glued, n=n))
-        except ValueError:
-            with pytest.raises(ValueError):
+        except ValueError as refusal:
+            with pytest.raises(ValueError) as info:
                 template.fill(glued[len(kept):])
+            assert str(info.value) == str(refusal), specs
             continue
         assert template.fill(glued[len(kept):]) == expected, specs
         closed += 1
@@ -419,10 +431,11 @@ def test_flag_template_equals_closed_flags(request, names, combo, kind, target, 
     # a dropped wall leaves a site edge open; a repeated wall puts its edges in three faces
     walls = glued[len(kept):]
     for broken, why in ((walls[:-1], "lies in 1 face"), (walls + walls[:1], "lies in 3")):
-        with pytest.raises(ValueError, match=why):
+        with pytest.raises(ValueError, match=why) as refusal:
             closed_flags(PolyhedralMap(kept + broken, n=n))
-        with pytest.raises(ValueError, match=why):
+        with pytest.raises(ValueError) as info:
             FlagTemplate(kept, n, map(len, broken)).fill(broken)
+        assert str(info.value) == str(refusal.value)
 
 
 def _unreduced_forms(bases, target, chi, kind, max_candidates):
