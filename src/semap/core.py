@@ -7,11 +7,12 @@ pure function over immutable :class:`PolyhedralMap` instances.
 
 The flag system encodes a closed map as three involutions on its
 (vertex, edge, face) flags, and :class:`FlagTemplate` is the one pass over
-the faces that builds it: :func:`flags` for ``validate``'s link check,
-:func:`closed_flags` (the flags plus the check that the map is closed) for
-orientability, double covers and canonical forms, and the cylinder search,
-which fills in only the walls of each gluing.  :func:`components` is the
-one union-find for every connectivity question.
+the faces that builds it: ``validate`` reads edge degrees, links and
+connectivity off one template, :func:`closed_flags` (the flags plus the
+check that the map is closed) serves orientability, double covers and
+canonical forms, and the cylinder search fills in only the walls of each
+gluing.  :func:`components` is the one union-find for every connectivity
+question.
 """
 
 from __future__ import annotations
@@ -94,15 +95,6 @@ class PolyhedralMap:
         return tuple(normalize_face(f) for f in self.faces)
 
     @cached_property
-    def edge_faces(self) -> dict[Edge, tuple[int, ...]]:
-        """Edge -> indices of the faces whose boundary traverses it."""
-        acc: dict[Edge, list[int]] = {}
-        for i, face in enumerate(self.faces):
-            for e in face_edges(face):
-                acc.setdefault(e, []).append(i)
-        return {e: tuple(v) for e, v in acc.items()}
-
-    @cached_property
     def vertex_faces(self) -> dict[int, tuple[int, ...]]:
         acc: dict[int, list[int]] = {v: [] for v in range(self.n)}
         for i, face in enumerate(self.faces):
@@ -114,10 +106,11 @@ class PolyhedralMap:
     @cached_property
     def neighbors(self) -> dict[int, frozenset[int]]:
         acc: dict[int, set[int]] = {v: set() for v in range(self.n)}
-        for a, b in self.edge_faces:
-            if a < self.n and b < self.n:
-                acc[a].add(b)
-                acc[b].add(a)
+        for face in self.faces:
+            for a, b in zip(face, face[1:] + face[:1]):
+                if a < self.n and b < self.n:
+                    acc[a].add(b)
+                    acc[b].add(a)
         return {v: frozenset(s) for v, s in acc.items()}
 
     def degree(self, v: int) -> int:
@@ -248,15 +241,6 @@ class FlagTemplate:
                              f"{1 if p >= 0 else -p} face(s)")
         fv = self.fv + [v for v in chain.from_iterable(walls) for _ in (0, 1)]
         return list(zip(self.s0, self.s1, s2)), fv, self.flen, neighbours
-
-
-def flags(m: PolyhedralMap) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The flag involutions ``s0, s1, s2`` of ``m`` and the vertex of every
-    flag, numbered as in :class:`FlagTemplate`.  Every face must be a
-    polygon on vertices ``0..n-1`` (:class:`ValueError`); edges may lie in
-    any number of faces."""
-    t = FlagTemplate(m.faces, m.n)
-    return t.s0, t.s1, t.s2, t.fv
 
 
 def closed_flags(m: PolyhedralMap):
@@ -493,12 +477,15 @@ def vertex_link(m: PolyhedralMap, v: int) -> VertexLink:
     if not 0 <= v < m.n:
         raise KeyError(f"vertex {v} not in map with n={m.n}")
     paths: dict[int, Face] = {}
+    ends: dict[int, list[int]] = {}  # w -> the faces at v on the edge v-w
     for fi in m.vertex_faces[v]:
         face = m.faces[fi]
         if len(face) < 3 or len(set(face)) != len(face):
             raise ValueError(f"face #{fi} {face} at vertex {v} is not a polygon")
         i = face.index(v)
-        paths[fi] = face[i + 1:] + face[:i]
+        paths[fi] = path = face[i + 1:] + face[:i]
+        ends.setdefault(path[0], []).append(fi)
+        ends.setdefault(path[-1], []).append(fi)
     if not paths:
         raise ValueError(f"vertex {v} lies on no face")
     # The s1/s2 walk around v: cross each corner to its far edge (s1), then
@@ -507,7 +494,7 @@ def vertex_link(m: PolyhedralMap, v: int) -> VertexLink:
     corners = [paths[start]]
     while True:
         w = corners[-1][-1]
-        pair = m.edge_faces[oriented_edge(v, w)]
+        pair = ends[w]
         if len(pair) != 2:
             raise ValueError(f"link of vertex {v} is not a single closed cycle")
         fi = pair[1] if pair[0] == fi else pair[0]
@@ -548,8 +535,8 @@ def is_d_covered(m: PolyhedralMap, d: int) -> bool:
     """Whether every edge of a triangulation meets a vertex of degree ``d``."""
     if any(len(f) != 3 for f in m.faces):
         raise NotTriangulationError("d-covered is defined for triangulations only")
-    deg = {v: m.degree(v) for v in range(m.n)}
-    return all(deg[a] == d or deg[b] == d for a, b in m.edge_faces)
+    around = m.neighbors
+    return all(len(around[a]) == d or len(around[b]) == d for a in around for b in around[a])
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +585,7 @@ def validate(m: PolyhedralMap) -> ValidationReport:
     single bad face cannot crash the rest of the analysis.
     """
     out: list[Violation] = []
-    if not m.faces or m.n == 0:
+    if not m.faces:
         out.append(Violation("empty", "map has no faces"))
         return ValidationReport(tuple(out))
 
@@ -634,33 +621,35 @@ def validate(m: PolyhedralMap) -> ValidationReport:
         else:
             seen[key] = i
 
-    # The checks below run on the well-formed faces; ``index`` maps their
-    # positions back to face numbers of ``m``.
+    # The checks below read the well-formed faces and one flag template of
+    # them; ``index`` maps their positions back to face numbers of ``m``.
     index = [i for i, _ in wellformed]
     good = m if len(wellformed) == len(m.faces) else PolyhedralMap(
         [face for _, face in wellformed], n=m.n)
+    t = FlagTemplate(good.faces, m.n)
+
+    def joins(face: Face, a: int, b: int) -> bool:  # a, b both on the face
+        return (face.index(a) - face.index(b)) % len(face) in (1, len(face) - 1)
+
     bad_vertices = set()
-    for e, fs in sorted(good.edge_faces.items()):
-        if len(fs) != 2:
-            bad_vertices.update(e)
-            where = tuple(index[j] for j in fs)
-            out.append(Violation(
-                "edge-degree",
-                f"edge {e} lies in {len(fs)} face(s) {where}, expected 2",
-                (e, where),
-            ))
+    for e in sorted(divmod(key, m.n) for key, state in t.sides.items() if state != -2):
+        bad_vertices.update(e)
+        a, b = e
+        where = tuple(index[j] for j in good.vertex_faces[a]
+                      if b in good.faces[j] and joins(good.faces[j], a, b))
+        message = f"edge {e} lies in {len(where)} face(s) {where}, expected 2"
+        out.append(Violation("edge-degree", message, (e, where)))
 
     # Any two faces meet in nothing, one vertex, or one full edge: only
-    # faces sharing a vertex need a look, and faces on a common edge may
-    # share its two ends.
-    on_edge = {pair for fs in good.edge_faces.values() for pair in combinations(fs, 2)}
+    # faces sharing a vertex need a look, and faces sharing just two
+    # vertices may share the edge between them.
     shared = Counter(chain.from_iterable(
         combinations(fs, 2) for fs in good.vertex_faces.values()))
-    for (a, b), count in sorted(shared.items()):
-        if count < 2 or count == 2 and (a, b) in on_edge:
+    for (a, b), count in sorted(pair for pair in shared.items() if pair[1] > 1):
+        common = tuple(sorted(set(good.faces[a]) & set(good.faces[b])))
+        if count == 2 and all(joins(good.faces[i], *common) for i in (a, b)):
             continue
         ia, ib = index[a], index[b]
-        common = tuple(sorted(set(good.faces[a]) & set(good.faces[b])))
         if count == 2:
             message = f"faces #{ia} and #{ib} share {list(common)} which is not an edge of both"
         else:
@@ -670,8 +659,8 @@ def validate(m: PolyhedralMap) -> ValidationReport:
     # Link condition: the flags at each vertex form one <s1, s2> orbit, a
     # single closed cycle of faces.  Only defined where the local edges lie
     # in two faces each.
-    _, s1, s2, fv = flags(good)
-    a_flag_at = {v: x for x, v in enumerate(fv)}
+    s1, s2 = t.s1, t.s2
+    a_flag_at = {v: x for x, v in enumerate(t.fv)}
     for v in range(m.n):
         count = len(good.vertex_faces[v])
         if count == 0:
@@ -694,11 +683,11 @@ def validate(m: PolyhedralMap) -> ValidationReport:
             ))
 
     # Connectivity of the edge graph.
-    if good.edge_faces:
-        verts = {v for e in good.edge_faces for v in e}
-        start = min(verts)
-        label = components(m.n, good.edge_faces)
-        unreachable = sum(1 for v in verts if label[v] != start)
+    if t.sides:
+        edges = [divmod(e, m.n) for e in t.sides]
+        start = min(e[0] for e in edges)
+        label = components(m.n, edges)
+        unreachable = sum(1 for v in range(m.n) if t.neighbours[v] and label[v] != start)
         if unreachable:
             out.append(Violation(
                 "connectivity",
@@ -732,13 +721,14 @@ class SurfaceProfile:
 
 
 def is_orientable(m: PolyhedralMap) -> bool:
-    """Whether the flag graph 2-colours with every move changing colour.
+    """Raises :class:`ValueError` unless ``m`` is closed (:func:`closed_flags`)."""
+    return orientable(closed_flags(m)[0])
 
-    The flags of one colour then orient every face so that each edge is
-    used once in each direction.  Raises :class:`ValueError` unless the map
-    is closed (:func:`closed_flags`).
-    """
-    moves = closed_flags(m)[0]
+
+def orientable(moves) -> bool:
+    """Whether the flag graph of ``moves`` (from :meth:`FlagTemplate.fill`)
+    2-colours with every move changing colour.  The flags of one colour then
+    orient every face so that each edge is used once in each direction."""
     colour = [-1] * len(moves)
     for root in range(len(moves)):
         if colour[root] < 0:
@@ -754,17 +744,17 @@ def is_orientable(m: PolyhedralMap) -> bool:
 
 
 def surface_profile(m: PolyhedralMap) -> SurfaceProfile:
-    """Counts, Euler characteristic and orientability of a valid map.
+    """Counts, Euler characteristic and orientability of a valid map, read
+    off its flags: every edge of a closed map carries four.
 
     Raises :class:`ValueError` for a map that is not closed
     (:func:`closed_flags`), where neither number means anything.
     """
-    v = m.n
-    e = len(m.edge_faces)
-    f = len(m.faces)
+    moves = closed_flags(m)[0]
+    v, e, f = m.n, len(moves) // 4, len(m.faces)
     return SurfaceProfile(
         euler_characteristic=v - e + f,
-        orientable=is_orientable(m),
+        orientable=orientable(moves),
         vertex_count=v,
         edge_count=e,
         face_count=f,

@@ -21,6 +21,7 @@ from .core import (
     closed_flags,
     components,
     normalize_face,
+    orientable,
     same_face,
     sem_vertex_count,
     semi_equivelar_type,
@@ -57,7 +58,8 @@ def double_cover(m: PolyhedralMap) -> tuple[PolyhedralMap, CoveringWitness]:
     report = validate(m)
     if not report.ok:
         raise TransformError(f"double cover needs a valid map, got: {report}")
-    if surface_profile(m).orientable:
+    moves, fv, _, _ = closed_flags(m)
+    if orientable(moves):
         raise TransformError(
             "map is already orientable; its orientation cover is the disconnected "
             "disjoint union of two copies, not a map"
@@ -65,7 +67,6 @@ def double_cover(m: PolyhedralMap) -> tuple[PolyhedralMap, CoveringWitness]:
 
     # Flag x on sheet t is 2*x + t.  Cover vertices are numbered by base
     # vertex, then by least flag.
-    moves, fv, _, _ = closed_flags(m)
     orbit = components(2 * len(fv), (
         (2 * x + t, 2 * y + 1 - t) for x, move in enumerate(moves) for y in move[1:] for t in (0, 1)
     ))
@@ -128,10 +129,13 @@ def stack_faces(m: PolyhedralMap) -> PolyhedralMap:
     """Subdivide every face by a barycenter joined to all its vertices.
 
     Each p-gon becomes p triangles; chi is preserved and the result is a
-    triangulation on V + F vertices.
+    triangulation on V + F vertices.  Raises :class:`TransformError` for a
+    face label outside ``0..n-1``, which would merge with a barycenter.
     """
     faces: list[Face] = []
     for fi, face in enumerate(m.faces):
+        if any(v >= m.n for v in face):
+            raise TransformError(f"face #{fi} {face} has a label outside 0..{m.n - 1}")
         bary = m.n + fi
         k = len(face)
         for i in range(k):

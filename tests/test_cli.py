@@ -215,3 +215,15 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "chi=-1" in proc.stdout
+
+
+def test_json_face_label_outside_vertices_exits_2(tmp_path):
+    # the JSON mirror refuses it as the text format does, before any command runs
+    bad = tmp_path / "k.json"
+    bad.write_text(json.dumps({"name": "k", "vertices": [0, 1, 2], "faces": [[0, 5, 1]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "semap.cli", "d-covered", str(bad), "--d", "2"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "exceeds declared" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -21,7 +21,7 @@ from semap import (
     validate,
     vertex_link,
 )
-from semap.core import components, flags
+from semap.core import FlagTemplate, components
 from oracles import (
     brute_force_orientable,
     degree_by_faces,
@@ -82,6 +82,14 @@ def test_empty_map_is_invalid():
     assert "empty" in report.axioms()
 
 
+def test_faces_on_no_declared_vertex_are_not_an_empty_map():
+    report = validate(PolyhedralMap([(0, 1, 2)], n=0))
+    assert [(v.axiom, v.message, v.witness) for v in report] == [
+        ("undeclared-vertex", "face #0 (0, 1, 2) references vertices [0, 1, 2] >= n=0",
+         (0, (0, 1, 2))),
+    ]
+
+
 def test_undeclared_vertex_is_reported():
     m = PolyhedralMap([(0, 1, 5)], n=3)
     assert "undeclared-vertex" in validate(m).axioms()
@@ -136,7 +144,7 @@ def test_counting_identities_on_catalog(all_catalog):
     # sum of face lengths = 2E = sum of vertex degrees
     for entry in all_catalog:
         m = entry.map
-        e = len(m.edge_faces)
+        e = surface_profile(m).edge_count
         assert sum(len(f) for f in m.faces) == 2 * e
         assert sum(m.degree(v) for v in range(m.n)) == 2 * e
         assert e == edge_count_oracle(m)
@@ -186,7 +194,8 @@ def test_one_check_refuses_maps_that_are_not_closed(faces, n, message):
 
 def test_flag_moves_are_involutions_with_one_orbit_per_vertex(all_catalog):
     for entry in all_catalog:
-        s0, s1, s2, fv = flags(entry.map)
+        t = FlagTemplate(entry.map.faces, entry.map.n)
+        s0, s1, s2, fv = t.s0, t.s1, t.s2, t.fv
         every = range(len(fv))
         for s in (s0, s1, s2):
             assert all(s[s[x]] == x != s[x] for x in every), entry.name

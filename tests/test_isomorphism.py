@@ -25,7 +25,7 @@ from semap import (
     stack_faces,
     validate,
 )
-from semap.core import flags
+from semap.core import FlagTemplate
 from oracles import (
     brute_force_automorphisms,
     brute_force_isomorphism,
@@ -165,7 +165,8 @@ def test_canonical_form_refuses_disconnected_maps(tetrahedron):
 def every_root_code(m):
     """Least breadth-first flag code over all roots: a complete invariant
     that roots at every flag instead of the filtered few."""
-    s0, s1, s2, _ = flags(m)
+    t = FlagTemplate(m.faces, m.n)
+    s0, s1, s2 = t.s0, t.s1, t.s2
     best = None
     for root in range(len(s0)):
         order = {root: 0}

@@ -125,6 +125,13 @@ def test_stack_counts_and_chi(k1, cube):
         assert validate(stacked).ok
 
 
+def test_stack_refuses_a_label_that_would_merge_with_a_barycenter():
+    # vertex 5 is the barycenter of face #1 of a stacking on n=4
+    m = PolyhedralMap([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 5)], n=4)
+    with pytest.raises(TransformError, match=r"face #3 \(1, 2, 5\) has a label outside 0\.\.3"):
+        stack_faces(m)
+
+
 def test_stacked_k1_original_vertices_have_degree_12(k1):
     stacked = stack_faces(k1)
     for v in range(k1.n):
@@ -325,6 +332,10 @@ def test_flags_are_built_once_per_slice(k1, monkeypatch):
         before = passes[0]
         fn(fresh)
         assert passes[0] - before == 1, fn.__name__
+    # a double cover validates the base, builds its flags once, and validates the cover
+    before = passes[0]
+    double_cover(k1.relabel(list(range(k1.n))))
+    assert passes[0] - before == 3
 
 
 def test_slices_concatenate_to_the_whole_unit(k1):
