@@ -532,9 +532,15 @@ def semi_equivelar_type(m: PolyhedralMap) -> FaceSequence | None:
 
 
 def is_d_covered(m: PolyhedralMap, d: int) -> bool:
-    """Whether every edge of a triangulation meets a vertex of degree ``d``."""
+    """Whether every edge of a triangulation meets a vertex of degree ``d``.
+    Raises :class:`ValueError` at the first face with a label outside
+    ``0..n-1``, whose edges ``m.neighbors`` leaves out."""
     if any(len(f) != 3 for f in m.faces):
         raise NotTriangulationError("d-covered is defined for triangulations only")
+    for i, face in enumerate(m.faces):
+        if max(face) >= m.n:
+            raise ValueError(f"not a closed map: face #{i} {face} is not a polygon "
+                             f"on vertices 0..{m.n - 1}")
     around = m.neighbors
     return all(len(around[a]) == d or len(around[b]) == d for a in around for b in around[a])
 

@@ -12,13 +12,14 @@ some flag of one walks exactly like some flag of the other, which is
 precisely an isomorphism.  Roots with minimal code are in bijection with
 the automorphism group (an automorphism fixing a flag is the identity).
 
-The flags come from one pass over the faces, :class:`semap.core.FlagTemplate`:
-for a map through :func:`semap.core.closed_flags`, which also checks the
-map is closed, and in the cylinder search from one template per slice,
-filled with each candidate's walls.  Either way :func:`canonical_core`
-gets the flag moves and what the root filter needs; the filter keys each
-face size and vertex once, and the walk from each root stops at its first
-step worse than the best code so far.
+The flags come from one pass over the faces, :func:`semap.core.closed_flags`,
+which also checks the map is closed.  The root filter keys each face size
+and vertex once, and the walk from each root stops at its first step worse
+than the best code so far.
+
+A search that meets mostly new classes, as the cylinder search does,
+asks for a cheap relabeling invariant first, :func:`class_key`, and a
+canonical form only when a key is seen again: a new key is a new class.
 
 The canonical data of a map (form, relabeled faces, one labeling per
 minimal root) is computed at most once per :class:`PolyhedralMap` object
@@ -134,6 +135,35 @@ def g_t_graph(m: PolyhedralMap, t: int, sets: str = "link") -> SimpleGraph:
 
 
 # ---------------------------------------------------------------------------
+# Class keys
+# ---------------------------------------------------------------------------
+
+def _meets(neighbours) -> list[tuple[int, ...]]:
+    """For each vertex ``v``, the sorted counts ``len(N(v) & N(w))`` over
+    its neighbours ``w``."""
+    return [tuple(sorted([len(nv & neighbours[w]) for w in nv])) for nv in neighbours]
+
+
+def class_key(neighbours) -> int:
+    """A relabeling-invariant hash of the graph with ``neighbours[v]`` the
+    set of vertices joined to ``v`` (``v`` in ``0..n-1``, as
+    :func:`semap.core.closed_flags` gives it): colour refinement
+    (B. D. McKay, Congr. Numer. 30, 1981).  Each vertex starts with its
+    :func:`_meets` profile; four rounds then hash each colour with the sum
+    of its neighbours' colours, and the key hashes the sorted colours.
+
+    Isomorphic maps get equal keys, so a key not seen before proves a new
+    class; equal keys prove nothing.  Only ints and tuples of ints are
+    hashed, whose hashes do not depend on ``PYTHONHASHSEED``, so every
+    process computes the same key.
+    """
+    colour = [hash(meets) for meets in _meets(neighbours)]
+    for _ in range(4):
+        colour = [hash((c, sum(map(colour.__getitem__, nv)))) for c, nv in zip(colour, neighbours)]
+    return hash(tuple(sorted(colour)))
+
+
+# ---------------------------------------------------------------------------
 # Canonical forms
 # ---------------------------------------------------------------------------
 
@@ -191,22 +221,17 @@ def _roots(fv, flen, neighbours) -> list[int]:
     sizes: list[list[int]] = [[] for _ in neighbours]
     for v, k in zip(fv[::2], flen[::2]):
         sizes[v].append(k)
-    sig = [(tuple(sorted(sizes[v])), tuple(sorted([len(nv & neighbours[w]) for w in nv])))
-           for v, nv in enumerate(neighbours)]
+    sig = [(tuple(sorted(s)), meets) for s, meets in zip(sizes, _meets(neighbours))]
     sig_count = Counter(sig)
     key = [(sig_count[s], s) for s in sig]
     least = min(key[v] for v, k in zip(fv, flen) if k == size)
     return [x for x, (v, k) in enumerate(zip(fv, flen)) if k == size and key[v] == least]
 
 
-def canonical_core(faces, n: int, moves, fv, flen, neighbours) -> CanonData:
-    """The canonical data of the closed map with ``faces`` on ``0..n-1``,
-    from its flags as :meth:`semap.core.FlagTemplate.fill` gives them: one
-    algorithm, two callers.  Maps come through :func:`_compute_canonical`;
-    the cylinder search fills one template per slice and builds no map per
-    candidate.  Raises :class:`ValueError` unless the
-    flags are connected and every vertex lies on a face.
-    """
+def _compute_canonical(m: PolyhedralMap) -> CanonData:
+    """The canonical data of ``m``; raises :class:`ValueError` unless ``m``
+    is closed and connected, with every vertex on a face."""
+    moves, fv, flen, neighbours = closed_flags(m)
     best, best_queues = None, []
     for root in _roots(fv, flen, neighbours):
         verdict, code, queue = _walk(root, moves, best)
@@ -220,18 +245,14 @@ def canonical_core(faces, n: int, moves, fv, flen, neighbours) -> CanonData:
     labelings = []  # vertex -> canonical label, by first appearance along the walk
     for queue in best_queues:
         first = dict.fromkeys(map(fv.__getitem__, queue))
-        if len(first) < n:
+        if len(first) < m.n:
             raise ValueError("canonical form needs every vertex on a face")
         label = {v: c for c, v in enumerate(first)}
-        labelings.append(tuple(label[v] for v in range(n)))
+        labelings.append(tuple(label[v] for v in range(m.n)))
     relabel = labelings[0].__getitem__
-    faces = tuple(sorted(normalize_face(tuple(map(relabel, f))) for f in faces))
-    form = f"{n}|" + ";".join(",".join(map(str, f)) for f in faces)
+    faces = tuple(sorted(normalize_face(tuple(map(relabel, f))) for f in m.faces))
+    form = f"{m.n}|" + ";".join(",".join(map(str, f)) for f in faces)
     return CanonData(form=form.encode(), canonical_faces=faces, labelings=tuple(labelings))
-
-
-def _compute_canonical(m: PolyhedralMap) -> CanonData:
-    return canonical_core(m.faces, m.n, *closed_flags(m))
 
 
 def _canonical_data(m: PolyhedralMap) -> CanonData:

@@ -28,7 +28,7 @@ from .core import (
     surface_profile,
     validate,
 )
-from .isomorphism import automorphism_group, canonical_core
+from .isomorphism import automorphism_group, canonical_form, class_key
 
 
 class TransformError(ValueError):
@@ -539,7 +539,7 @@ def _orbit_least(choice: tuple, moves) -> bool:
 
 def _run_unit(kept, pairing, moves, feasible, n: int, kind: str) -> tuple[int, list]:
     """Build the orbit-least gluings of one slice of a unit: how many, and
-    the canonical form and gluing choice of each.
+    the class key and gluing choice of each.
 
     ``kept`` is what the unit's bases keep once its sites are removed.  A
     slice fixes the gluing of the first site pair: ``feasible`` lists the
@@ -547,8 +547,9 @@ def _run_unit(kept, pairing, moves, feasible, n: int, kind: str) -> tuple[int, l
     (:func:`_feasible_gluings`), which makes every combination a valid map
     of the target type.  Only those that no symmetry in ``moves`` maps onto
     an earlier one are constructed: one :class:`FlagTemplate` of ``kept``
-    per slice, filled with each gluing's walls, whose flags go straight to
-    :func:`canonical_core`.  No spec and no map object is made per gluing.
+    per slice, filled with each gluing's walls (which checks the gluing is
+    closed), whose neighbour sets give its :func:`class_key`.  No spec, no
+    map object and no canonical form is made per gluing.
     """
     gluings = _gluings(kind)
     template = FlagTemplate(kept, n, [len(w) for a, b in pairing
@@ -560,7 +561,7 @@ def _run_unit(kept, pairing, moves, feasible, n: int, kind: str) -> tuple[int, l
             continue
         built += 1
         walls = [w for (a, b), g in zip(pairing, choice) for w in _wall_faces(a, b, *gluings[g])]
-        found.append((canonical_core(kept + walls, n, *template.fill(walls)).form, choice))
+        found.append((class_key(template.fill(walls)[3]), choice))
     return built, found
 
 
@@ -581,10 +582,12 @@ def cylinder_search(
     bases (automorphisms of each copy, swaps of copies of one base) skip
     every bundle and every gluing they map onto an earlier one
     (:class:`_BaseSymmetry`); each remaining gluing that passes the
-    per-cylinder screen is applied and de-duplicated by canonical form, one
-    representative per isomorphism class.  The first gluing to reach a
-    class is never skipped, so the result list and its provenance are
-    those of the unreduced search.
+    per-cylinder screen is applied and de-duplicated, one representative
+    per isomorphism class: by its :func:`class_key` first, and only when
+    that key is seen again by comparing its canonical form with those of
+    the earlier results under the key (isomorphic maps share a key).  The
+    first gluing to reach a class is never skipped, so the result list and
+    its provenance are those of the unreduced search.
 
     Every built gluing is a valid map of the target type, with chi fixed
     by the vertex count: the bases are validated once, up front, and the
@@ -611,7 +614,7 @@ def cylinder_search(
     stats = CylinderSearchStats()
     results: list[PolyhedralMap] = []
     notes: list[CylinderProvenance] = []
-    seen: set[bytes] = set()
+    seen: dict[int, list[PolyhedralMap]] = {}  # class key -> results with it
 
     for i, b in enumerate(base_maps):
         report = validate(b)
@@ -671,14 +674,16 @@ def cylinder_search(
         for (names, faces, n, pairing), (built, found) in zip(units, slices):  # in order
             stats.built += built
             stats.valid += len(found)
-            for form, choice in found:
-                if form in seen:
-                    continue
-                seen.add(form)
+            for key, choice in found:
                 specs = tuple(CylinderSpec(kind, a, b, *gluings[g])
                               for (a, b), g in zip(pairing, choice))
                 name = "+".join(names) + f"#{len(results) + 1}"
-                results.append(PolyhedralMap(_apply_bundle(faces, specs), n=n, name=name))
+                m = PolyhedralMap(_apply_bundle(faces, specs), n=n, name=name)
+                same_key = seen.setdefault(key, [])
+                if any(canonical_form(r) == canonical_form(m) for r in same_key):
+                    continue
+                same_key.append(m)
+                results.append(m)
                 notes.append(CylinderProvenance(bases=names, specs=specs))
     stats.classes = len(results)
     stats.seconds = time.perf_counter() - t0

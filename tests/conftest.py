@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from semap import PolyhedralMap, catalog, catalog_map
+from semap import FaceSequence, PolyhedralMap, catalog, catalog_map, cylinder_search
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +69,12 @@ def octahedron():
         [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
          (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4)],
         n=6, name="octahedron")
+
+
+@pytest.fixture(scope="session")
+def k1_quad(k1):
+    """Results and provenance of the exhaustive (3^5,4^2) chi=-8 search on
+    K1: 482 classes."""
+    maps, notes, stats = cylinder_search([k1], FaceSequence.from_string("3^5,4^2"), -8)
+    assert stats.exhausted and len(maps) == 482
+    return maps, notes

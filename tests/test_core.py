@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -333,6 +334,16 @@ def test_stacked_k1_is_12_covered_but_not_11(k1):
 def test_d_covered_refuses_non_triangulations(cube):
     with pytest.raises(NotTriangulationError):
         is_d_covered(cube, 3)
+
+
+def test_d_covered_refuses_labels_outside_the_vertex_range(tetrahedron):
+    # ``neighbors`` leaves out the edges to label 4, so any verdict would
+    # be about some other map
+    faces = list(tetrahedron.faces)
+    faces[2] = (faces[2][0], faces[2][1], 4)
+    with pytest.raises(ValueError, match=re.escape(
+            f"not a closed map: face #2 {faces[2]} is not a polygon on vertices 0..3")):
+        is_d_covered(PolyhedralMap(faces, n=4), 3)
 
 
 # ---------------------------------------------------------------------------

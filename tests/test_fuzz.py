@@ -21,6 +21,7 @@ from semap import (
     catalog,
     catalog_map,
     double_cover,
+    is_d_covered,
     map_to_json,
     stack_faces,
     surface_profile,
@@ -83,6 +84,7 @@ def test_mutated_maps_are_reported_or_refused(m):
     answers_or_value_error(automorphism_group, m)
     answers_or_value_error(double_cover, m)
     answers_or_value_error(stack_faces, m)
+    answers_or_value_error(is_d_covered, m, 6)
     for v in range(m.n):
         answers_or_value_error(vertex_link, m, v)
 

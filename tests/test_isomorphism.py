@@ -1,21 +1,24 @@
 import gc
 import importlib
+import json
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semap import (
-    FaceSequence,
     PolyhedralMap,
     SimpleGraph,
     are_isomorphic,
     automorphism_group,
     canonical_form,
     canonical_map,
-    cylinder_search,
     g_t_graph,
     is_vertex_transitive,
     isomorphism,
@@ -25,7 +28,8 @@ from semap import (
     stack_faces,
     validate,
 )
-from semap.core import FlagTemplate
+from semap.core import FlagTemplate, closed_flags
+from semap.isomorphism import class_key
 from oracles import (
     brute_force_automorphisms,
     brute_force_isomorphism,
@@ -195,10 +199,9 @@ def scrambled(m, rng):
     return PolyhedralMap(faces, n=m.n)
 
 
-def test_root_filter_partitions_like_rooting_at_every_flag(k1):
-    classes, _, _ = cylinder_search([k1], FaceSequence.from_string("3^5,4^2"), -8)
+def test_root_filter_partitions_like_rooting_at_every_flag(k1_quad):
     rng = random.Random(17)
-    sample = rng.sample(classes, 8)
+    sample = rng.sample(k1_quad[0], 8)
     family = sample + [scrambled(m, rng) for m in sample for _ in range(2)]
 
     def partition(key):
@@ -282,20 +285,12 @@ def reference_canonical(m):
     return form.encode(), tuple(faces), tuple(labelings)
 
 
-@pytest.fixture(scope="module")
-def k1_quad_classes(k1):
-    """The 482 classes of the exhaustive (3^5,4^2) chi=-8 search on K1."""
-    classes, _, _ = cylinder_search([k1], FaceSequence.from_string("3^5,4^2"), -8)
-    assert len(classes) == 482
-    return classes
-
-
-def test_canonical_data_equals_the_reference_algorithm(all_catalog, k1_quad_classes):
+def test_canonical_data_equals_the_reference_algorithm(all_catalog, k1_quad):
     iso = importlib.import_module("semap.isomorphism")
     rng = random.Random(23)
     maps = [entry.map for entry in all_catalog]
     maps += [scrambled(m, rng) for m in maps for _ in range(3)]
-    maps += k1_quad_classes
+    maps += k1_quad[0]
     for m in maps:
         data = iso._compute_canonical(m)
         got = (data.form, data.canonical_faces, data.labelings)
@@ -343,6 +338,44 @@ def test_canonical_data_is_computed_once_per_map(k1, monkeypatch):
     automorphism_group(m)
     is_vertex_transitive(m)
     assert len(calls) == 1 and calls[0] is m
+
+
+# ---------------------------------------------------------------------------
+# class keys
+# ---------------------------------------------------------------------------
+
+def key_of(m):
+    return class_key(closed_flags(m)[3])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_class_key_is_a_relabeling_invariant(all_catalog, k1_quad, data):
+    m = data.draw(st.sampled_from([entry.map for entry in all_catalog] + k1_quad[0]))
+    perm = data.draw(st.permutations(range(m.n)))
+    assert key_of(m.relabel(perm)) == key_of(m)
+
+
+def test_class_key_does_not_depend_on_the_hash_seed(k1, k1_quad):
+    # a pool started by spawn computes keys under its own hash seed; str or
+    # bytes in the hashed data would make its keys differ from the parent's
+    maps = [k1, k1_quad[0][0]]
+    code = ("import json, sys\n"
+            "from semap import PolyhedralMap\n"
+            "from semap.core import closed_flags\n"
+            "from semap.isomorphism import class_key\n"
+            "maps = [PolyhedralMap(faces, n=n) for n, faces in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([class_key(closed_flags(m)[3]) for m in maps]))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    arg = json.dumps([[m.n, m.faces] for m in maps])
+    keys = []
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", code, arg], env=env,
+                              capture_output=True, text=True, check=True)
+        keys.append(json.loads(done.stdout))
+    assert keys[0] == keys[1] == [key_of(m) for m in maps]
 
 
 # ---------------------------------------------------------------------------

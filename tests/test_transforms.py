@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -301,9 +302,10 @@ def test_flags_are_built_once_per_slice(k1, monkeypatch):
     import sys
 
     core, transforms = sys.modules["semap.core"], sys.modules["semap.transforms"]
-    passes, maps, per_slice = [0], [0], []
+    iso = sys.modules["semap.isomorphism"]
+    passes, maps, forms, keys, per_slice = [0], [0], [], [], []
     template_init, init = core.FlagTemplate.__init__, PolyhedralMap.__init__
-    run_unit = transforms._run_unit
+    run_unit, compute, key = transforms._run_unit, iso._compute_canonical, transforms.class_key
 
     def counting_template(*args, **kwargs):
         passes[0] += 1
@@ -313,19 +315,37 @@ def test_flags_are_built_once_per_slice(k1, monkeypatch):
         maps[0] += 1
         init(self, *args, **kwargs)
 
+    def counting_compute(m):
+        forms.append(m)
+        return compute(m)
+
+    def recording_key(neighbours):
+        keys.append(key(neighbours))
+        return keys[-1]
+
     def counting_unit(*args, **kwargs):
-        before = passes[0], maps[0]
+        before = passes[0], maps[0], len(forms)
         out = run_unit(*args, **kwargs)
-        per_slice.append((passes[0] - before[0], maps[0] - before[1], out[0]))
+        per_slice.append((passes[0] - before[0], maps[0] - before[1], len(forms) - before[2],
+                          out[0]))
         return out
 
     monkeypatch.setattr(core.FlagTemplate, "__init__", counting_template)
     monkeypatch.setattr(PolyhedralMap, "__init__", counting_init)
+    monkeypatch.setattr(iso, "_compute_canonical", counting_compute)
+    monkeypatch.setattr(transforms, "class_key", recording_key)
     monkeypatch.setattr(transforms, "_run_unit", counting_unit)
-    _, _, stats = cylinder_search([k1], T45, -8)
-    assert stats.built == sum(built for _, _, built in per_slice) == 482
+    base = k1.relabel(list(range(k1.n)))  # a fresh map: its form is computed once, for its group
+    _, _, stats = cylinder_search([base], T45, -8)
+    assert stats.built == sum(built for *_, built in per_slice) == len(keys) == 482
     assert len(per_slice) < stats.built
-    assert {(p, m) for p, m, _ in per_slice} == {(1, 0)}
+    assert {(p, m, f) for p, m, f, _ in per_slice} == {(1, 0, 0)}
+    # forms only where a key is shared: every gluing with that key, once each
+    counts = Counter(keys)
+    shared = {k for k, c in counts.items() if c > 1}
+    assert forms[0] is base
+    assert len(forms) - 1 == sum(counts[k] for k in shared) < 50
+    assert all(key(core.closed_flags(m)[3]) in shared for m in forms[1:])
     # and one flag pass per call on the public path (a fresh map: nothing memoised)
     for fn in (canonical_form, surface_profile, validate):
         fresh = k1.relabel(list(range(k1.n)))
@@ -336,6 +356,16 @@ def test_flags_are_built_once_per_slice(k1, monkeypatch):
     before = passes[0]
     double_cover(k1.relabel(list(range(k1.n))))
     assert passes[0] - before == 3
+
+
+def test_key_collisions_fall_back_on_canonical_forms(k1, k1_quad, monkeypatch):
+    # one key for every gluing: each is told apart by its canonical form alone
+    import sys
+
+    monkeypatch.setattr(sys.modules["semap.transforms"], "class_key", lambda neighbours: 0)
+    maps, notes, _ = cylinder_search([k1], T45, -8)
+    assert [(m.name, m.faces) for m in maps] == [(m.name, m.faces) for m in k1_quad[0]]
+    assert notes == k1_quad[1]
 
 
 def test_slices_concatenate_to_the_whole_unit(k1):
