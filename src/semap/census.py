@@ -9,8 +9,9 @@ contradictions are caught as early as possible.  The candidate generator
 already applies the closing rule of the link at the site vertex, so the
 pruning statistics count only the faces it offers.  The search is not
 isomorph-free: it can reach one class through several complete maps (32
-for the 3 classes of (3^5,4) on chi=-1), so complete maps are validated
-and de-duplicated by canonical form afterwards.
+for the 3 classes of (3^5,4) on chi=-1), so each complete map is validated
+as it arrives and handed to a :class:`semap.isomorphism.ClassSink`, which
+keeps the first map of each class.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import (
     sem_vertex_count,
     validate,
 )
-from .isomorphism import canonical_form
+from .isomorphism import ClassSink
 
 
 PRUNE_REASONS = ("size", "repeat", "range", "duplicate", "slot", "edge", "link",
@@ -261,22 +262,10 @@ def corner_arrangements(seq: FaceSequence) -> list[tuple[int, ...]]:
     """Distinct cyclic orders of the face-size multiset, up to rotation
     and reflection.  Type (3^5, 4) has one; mixed types can have several,
     and the search must be seeded once per arrangement."""
-    sizes = []
-    for a, p in seq.entries:
-        sizes.extend([a] * p)
-    seen = set()
-    out = []
-    for perm in set(permutations(sizes)):
-        d = len(perm)
-        rots = [perm[i:] + perm[:i] for i in range(d)]
-        rev = perm[::-1]
-        rots += [rev[i:] + rev[:i] for i in range(d)]
-        # Greatest rotation puts the largest corner on the first labels.
-        key = max(rots)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return sorted(out, reverse=True)
+    sizes = [a for a, p in seq.entries for _ in range(p)]
+    # Greatest rotation puts the largest corner on the first labels.
+    return sorted({max(r[i:] + r[:i] for r in (perm, perm[::-1]) for i in range(len(r)))
+                   for perm in set(permutations(sizes))}, reverse=True)
 
 
 def seed_link(arrangement: tuple[int, ...], center: int = 0) -> VertexLink:
@@ -385,13 +374,22 @@ def _candidate_faces(partial: PartialMap, v: int, w: int) -> list[Face]:
 
 
 def _complete(partial: PartialMap, stats: SearchStats, emit, max_nodes: int | None) -> None:
+    """Grow ``partial`` in place (restored on return), counting into
+    ``stats`` until ``stats.nodes`` reaches ``max_nodes``; each complete map
+    is validated, counted and passed to ``emit`` as it is found."""
     if max_nodes is not None and stats.nodes >= max_nodes:
         stats.exhausted = False
         return
     stats.nodes += 1
     if partial.is_complete():
         if len(partial.vertex_faces) == partial.n:
-            emit(partial)
+            m = partial.to_map()
+            report = validate(m)
+            if not report.ok:
+                raise RuntimeError(
+                    f"internal error: completed partial map fails validation: {report}")
+            stats.solutions += 1
+            emit(m)
         return
     v, w = _site(partial)
     for face in _candidate_faces(partial, v, w):
@@ -420,19 +418,21 @@ def complete_search(partial: PartialMap, max_nodes: int | None = None
     stats = SearchStats()
     t0 = time.perf_counter()
     found: list[PolyhedralMap] = []
-
-    def emit(p: PartialMap) -> None:
-        m = p.to_map()
-        report = validate(m)
-        if not report.ok:
-            raise RuntimeError(
-                f"internal error: completed partial map fails validation: {report}")
-        stats.solutions += 1
-        found.append(m)
-
-    _complete(partial.copy(), stats, emit, max_nodes)
+    _complete(partial.copy(), stats, found.append, max_nodes)
     stats.seconds = time.perf_counter() - t0
     return found, stats
+
+
+def _seeds(seq: FaceSequence, chi: int, seed: str, stats: SearchStats):
+    """The seed of each corner arrangement (one for ``seed="face"``).  A
+    seed that cannot be committed, such as a link on more vertices than the
+    map has, has no completions: it is skipped and named in ``stats.reason``."""
+    for arrangement in corner_arrangements(seq) if seed == "link" else [None]:
+        try:
+            yield seed_partial(seq, chi, arrangement=arrangement, seed=seed)
+        except LinkContradiction as exc:
+            what = f"seed link {arrangement}" if arrangement else "seed face"
+            stats.reason += ("; " if stats.reason else "") + f"{what} does not fit: {exc}"
 
 
 def enumerate_sems(seq: FaceSequence, chi: int, seed: str = "link",
@@ -441,10 +441,17 @@ def enumerate_sems(seq: FaceSequence, chi: int, seed: str = "link",
     """All semi-equivelar maps of the given type and Euler characteristic,
     one representative per isomorphism class, with search statistics.
 
-    Returns an empty list when no positive integer vertex count fits.
+    Returns an empty list when no positive integer vertex count fits, or
+    when no seed fits in that many vertices (``stats.reason`` says which).
     ``max_nodes`` bounds the search; ``stats.exhausted`` reports whether
     the whole tree was covered.  A negative ``max_nodes`` raises
     ``ValueError``.
+
+    Each complete map goes to a :class:`ClassSink` as it is found; the
+    first of each class is kept and named.  No type filter: a complete map
+    uses every vertex, closes each link at exactly ``degree`` corners and
+    keeps each size count within its budget, so it has type ``seq``, and
+    with n fixed the type fixes chi.
     """
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"max_nodes must be non-negative, got {max_nodes}")
@@ -457,28 +464,14 @@ def enumerate_sems(seq: FaceSequence, chi: int, seed: str = "link",
         stats.seconds = time.perf_counter() - t0
         return [], stats
 
-    classes: list[PolyhedralMap] = []
-    seen: set[bytes] = set()
-    arrangements = corner_arrangements(seq) if seed == "link" else [None]
-    for arrangement in arrangements:
-        partial = seed_partial(seq, chi, arrangement=arrangement, seed=seed)
-        budget = None if max_nodes is None else max_nodes - stats.nodes
-        found, sub = complete_search(partial, max_nodes=budget)
-        stats.nodes += sub.nodes
-        stats.solutions += sub.solutions
-        stats.exhausted = stats.exhausted and sub.exhausted
-        for reason, count in sub.pruned.items():
-            stats.pruned[reason] += count
-        # No type filter: an emitted map has type ``seq``.  It uses every
-        # vertex, closes each link at exactly ``degree`` corners and keeps
-        # each size count within its budget, so every count meets it.  With
-        # n fixed, the type fixes chi.
-        for m in found:
-            form = canonical_form(m)
-            if form not in seen:
-                seen.add(form)
-                classes.append(PolyhedralMap(
-                    m.faces, n=m.n, name=f"{seq}|chi={chi}#{len(classes) + 1}"))
-    stats.classes = len(classes)
+    sink = ClassSink()
+
+    def keep(m: PolyhedralMap) -> None:
+        if sink.add(m):
+            m.name = f"{seq}|chi={chi}#{len(sink.maps)}"
+
+    for partial in _seeds(seq, chi, seed, stats):  # one budget for all seeds
+        _complete(partial, stats, keep, max_nodes)
+    stats.classes = len(sink.maps)
     stats.seconds = time.perf_counter() - t0
-    return classes, stats
+    return sink.maps, stats

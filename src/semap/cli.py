@@ -41,16 +41,12 @@ def _map_arg(token: str, dedupe: bool = False) -> PolyhedralMap:
     return load_map(token, dedupe=dedupe)
 
 
-def _emit_map(m: PolyhedralMap, fmt: str, provenance: dict | None = None) -> None:
+def _emit_map(m: PolyhedralMap, fmt: str, provenance: dict) -> None:
     if fmt == "json":
-        payload: dict = {"map": map_to_json(m)}
-        if provenance is not None:
-            payload["provenance"] = provenance
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"map": map_to_json(m), "provenance": provenance}, indent=2))
     else:
         sys.stdout.write(serialize_map(m))
-        if provenance is not None:
-            print("# provenance: " + json.dumps(provenance))
+        print("# provenance: " + json.dumps(provenance))
 
 
 def _emit(payload: dict, fmt: str, text: str) -> None:
@@ -149,27 +145,32 @@ def cmd_gt(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    try:
-        seq = FaceSequence.from_string(args.type)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    maps, stats = census.enumerate_sems(seq, args.chi, max_nodes=args.max_nodes)
-    stats_payload = {
-        "nodes": stats.nodes, "solutions": stats.solutions,
-        "classes": stats.classes, "seconds": round(stats.seconds, 3),
-        "exhausted": stats.exhausted, "pruned": stats.pruned,
-    }
-    if stats.reason:
+def _emit_search(maps, stats, fmt: str, provenance: list | None = None) -> None:
+    """A search's classes, each with its provenance if given, then its stats:
+    every field in order, ``seconds`` rounded, ``reason`` last and if set."""
+    stats_payload = {k: round(v, 3) if k == "seconds" else v
+                     for k, v in vars(stats).items() if k != "reason"}
+    if getattr(stats, "reason", ""):
         stats_payload["reason"] = stats.reason
-    if args.format == "json":
-        print(json.dumps({"classes": [map_to_json(m) for m in maps],
-                          "stats": stats_payload}, indent=2))
-    else:
-        for m in maps:
-            sys.stdout.write(serialize_map(m))
-            print()
-        print("# stats: " + json.dumps(stats_payload))
+    if fmt == "json":
+        payload: dict = {"classes": [map_to_json(m) for m in maps]}
+        if provenance is not None:
+            payload["provenance"] = provenance
+        payload["stats"] = stats_payload
+        print(json.dumps(payload, indent=2))
+        return
+    for i, m in enumerate(maps):
+        sys.stdout.write(serialize_map(m))
+        if provenance is not None:
+            print("# provenance: " + json.dumps(provenance[i]))
+        print()
+    print("# stats: " + json.dumps(stats_payload))
+
+
+def cmd_enumerate(args) -> int:
+    seq = FaceSequence.from_string(args.type)  # a ValueError exits 2 in ``main``
+    maps, stats = census.enumerate_sems(seq, args.chi, max_nodes=args.max_nodes)
+    _emit_search(maps, stats, args.format)
     return 0
 
 
@@ -229,33 +230,13 @@ def cmd_cylinder(args) -> int:
 
 
 def cmd_cylinder_search(args) -> int:
-    try:
-        seq = FaceSequence.from_string(args.type)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    seq = FaceSequence.from_string(args.type)  # a ValueError exits 2 in ``main``
     bases = [_map_arg(tok) for tok in args.bases.split(",")]
     maps, notes, stats = transforms.cylinder_search(
         bases, seq, args.chi, max_candidates=args.max_candidates, jobs=args.jobs)
-    stats_payload = {
-        "bundles": stats.bundles, "covered_units": stats.covered_units,
-        "candidates": stats.candidates,
-        "built": stats.built, "valid": stats.valid, "classes": stats.classes,
-        "exhausted": stats.exhausted, "seconds": round(stats.seconds, 3),
-    }
     provenance = [{"bases": list(note.bases), "specs": [_spec_to_json(s) for s in note.specs]}
                   for note in notes]
-    if args.format == "json":
-        print(json.dumps({
-            "classes": [map_to_json(m) for m in maps],
-            "provenance": provenance,
-            "stats": stats_payload,
-        }, indent=2))
-    else:
-        for m, note in zip(maps, provenance):
-            sys.stdout.write(serialize_map(m))
-            print("# provenance: " + json.dumps(note))
-            print()
-        print("# stats: " + json.dumps(stats_payload))
+    _emit_search(maps, stats, args.format, provenance)
     return 0
 
 

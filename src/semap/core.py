@@ -155,15 +155,16 @@ class FlagTemplate:
     the edge to the next vertex, flag ``b + 2*i + 1`` the edge to the
     previous one.  ``s2`` pairs the flags of an edge that lies in exactly
     two faces and fixes every other flag.  ``fv[x]`` is the vertex of flag
-    ``x`` (wall flags get theirs from ``fill``), ``flen[x]`` the size of its
-    face, and ``neighbours[v]`` the vertices joined to ``v`` by an edge.
+    ``x`` of the faces (wall flags take theirs from the wall corners, in
+    the same order), ``flen[x]`` the size of its face, and
+    ``neighbours[v]`` the vertices joined to ``v`` by an edge.
     ``sides`` holds one state per edge ``a*n + b`` (``a < b``): its flag at
     ``a`` if it lies in one face, else minus the number of faces it lies in.
 
     The constructor raises :class:`ValueError` only at the first face that
     is not a polygon on ``0..n-1``, so it serves maps that are not closed;
     labels are non-negative, as :class:`PolyhedralMap` makes them.
-    ``fill(walls)`` writes the wall flags and checks the whole map is
+    ``fill(walls)`` pairs the wall flags and checks the whole map is
     closed; the template is left as it was, for the next walls.
     """
 
@@ -224,8 +225,8 @@ class FlagTemplate:
         return opened, over
 
     def fill(self, walls=()):
-        """``(moves, fv, flen, neighbours)`` of the faces followed by
-        ``walls``, with ``moves[x] = (s0[x], s1[x], s2[x])``.  Raises
+        """``(s2, neighbours)`` of the faces followed by ``walls``; ``s0``,
+        ``s1`` and ``flen`` are the template's whatever the walls.  Raises
         :class:`ValueError` unless that map is closed: at the first wall that
         is not a polygon on ``0..n-1``, else at the first edge, in the order
         the faces list them, that does not lie in exactly two faces."""
@@ -239,18 +240,19 @@ class FlagTemplate:
             e, p = next((e, p) for e, p in sides.items() if p >= 0 or p < -2)
             raise ValueError(f"not a closed map: edge {divmod(e, self.n)} lies in "
                              f"{1 if p >= 0 else -p} face(s)")
-        fv = self.fv + [v for v in chain.from_iterable(walls) for _ in (0, 1)]
-        return list(zip(self.s0, self.s1, s2)), fv, self.flen, neighbours
+        return s2, neighbours
 
 
 def closed_flags(m: PolyhedralMap):
-    """``FlagTemplate(m.faces, m.n).fill()``: the flag moves, the vertex and
-    face size of every flag, and the neighbours of every vertex of a closed
-    map.  Raises :class:`ValueError` unless ``m`` has a face and is closed
+    """``(moves, fv, flen, neighbours)`` of a closed map from its
+    :class:`FlagTemplate`, with ``moves[x] = (s0[x], s1[x], s2[x])``.
+    Raises :class:`ValueError` unless ``m`` has a face and is closed
     (:meth:`FlagTemplate.fill`).  Nothing is cached on ``m``."""
     if not m.faces:
         raise ValueError("not a closed map: it has no faces")
-    return FlagTemplate(m.faces, m.n).fill()
+    template = FlagTemplate(m.faces, m.n)
+    s2, neighbours = template.fill()
+    return list(zip(template.s0, template.s1, s2)), template.fv, template.flen, neighbours
 
 
 def components(size: int, pairs) -> list[int]:
@@ -732,7 +734,7 @@ def is_orientable(m: PolyhedralMap) -> bool:
 
 
 def orientable(moves) -> bool:
-    """Whether the flag graph of ``moves`` (from :meth:`FlagTemplate.fill`)
+    """Whether the flag graph of ``moves`` (from :func:`closed_flags`)
     2-colours with every move changing colour.  The flags of one colour then
     orient every face so that each edge is used once in each direction."""
     colour = [-1] * len(moves)

@@ -17,9 +17,9 @@ which also checks the map is closed.  The root filter keys each face size
 and vertex once, and the walk from each root stops at its first step worse
 than the best code so far.
 
-A search that meets mostly new classes, as the cylinder search does,
-asks for a cheap relabeling invariant first, :func:`class_key`, and a
-canonical form only when a key is seen again: a new key is a new class.
+Both searches hand their maps to one :class:`ClassSink`, which asks for a
+cheap relabeling invariant first, :func:`class_key`, and a canonical form
+only when a key is seen again: a new key is a new class.
 
 The canonical data of a map (form, relabeled faces, one labeling per
 minimal root) is computed at most once per :class:`PolyhedralMap` object
@@ -308,6 +308,31 @@ def are_isomorphic(m1: PolyhedralMap, m2: PolyhedralMap) -> bool:
     return isomorphism(m1, m2) is not None
 
 
+class ClassSink:
+    """The first map of each isomorphism class to arrive, in order (``maps``).
+
+    :meth:`add` looks up the :func:`class_key` first: a new key is a new
+    class.  Canonical forms are compared only with the representatives
+    under a repeated key, so a key collision never merges two classes.
+    """
+
+    def __init__(self):
+        self.maps: list[PolyhedralMap] = []
+        self._by_key: dict[int, list[PolyhedralMap]] = {}
+
+    def add(self, m: PolyhedralMap, key: int | None = None) -> bool:
+        """Keep ``m`` if it starts a new class, and say whether it did.  ``key``
+        is its class key if the caller has it, else it is read off ``m.neighbors``."""
+        if key is None:
+            key = class_key(list(m.neighbors.values()))
+        same_key = self._by_key.setdefault(key, [])
+        if any(canonical_form(r) == canonical_form(m) for r in same_key):
+            return False
+        same_key.append(m)
+        self.maps.append(m)
+        return True
+
+
 # ---------------------------------------------------------------------------
 # Automorphisms
 # ---------------------------------------------------------------------------
@@ -384,3 +409,4 @@ def automorphism_group(m: PolyhedralMap) -> AutomorphismGroup:
 def is_vertex_transitive(m: PolyhedralMap) -> bool:
     """Whether the automorphism group has a single vertex orbit."""
     return len(automorphism_group(m).orbits) == 1
+

@@ -28,7 +28,7 @@ from .core import (
     surface_profile,
     validate,
 )
-from .isomorphism import automorphism_group, canonical_form, class_key
+from .isomorphism import ClassSink, automorphism_group, class_key
 
 
 class TransformError(ValueError):
@@ -466,7 +466,7 @@ def _image(perm, faces) -> frozenset:
 
 
 class _BaseSymmetry:
-    """The symmetry group of one base multiset and the units it has seen.
+    """The symmetry group of one base multiset and the units it has met.
 
     The group acts on the labels of the disjoint union of the bases: an
     automorphism on every copy, then any permutation of the copies of one
@@ -493,7 +493,7 @@ class _BaseSymmetry:
                     for x, y in enumerate(alpha):
                         perm[offsets[c] + x] = offsets[dest[c]] + y
                 self.elements.append(perm)
-        self.seen: set[frozenset] = set()
+        self.met: set[frozenset] = set()  # every image of an admitted pairing
 
     def admit(self, pairing, kind: str) -> list[tuple] | None:
         """None if a symmetry maps ``pairing`` onto the pairing of an earlier
@@ -505,12 +505,12 @@ class _BaseSymmetry:
         """
         identity = list(range(len(self.elements[0])))
         key = frozenset(_image(identity, p) for p in pairing)
-        if key in self.seen:
+        if key in self.met:
             return None
         stabiliser = []
         for perm in self.elements:
             image = frozenset(_image(perm, p) for p in pairing)
-            self.seen.add(image)
+            self.met.add(image)
             if image == key and perm != identity:
                 stabiliser.append(perm)
         walls = [[_image(identity, _wall_faces(a, b, o, r)) for o, r in _gluings(kind)]
@@ -561,7 +561,7 @@ def _run_unit(kept, pairing, moves, feasible, n: int, kind: str) -> tuple[int, l
             continue
         built += 1
         walls = [w for (a, b), g in zip(pairing, choice) for w in _wall_faces(a, b, *gluings[g])]
-        found.append((class_key(template.fill(walls)[3]), choice))
+        found.append((class_key(template.fill(walls)[1]), choice))
     return built, found
 
 
@@ -582,12 +582,11 @@ def cylinder_search(
     bases (automorphisms of each copy, swaps of copies of one base) skip
     every bundle and every gluing they map onto an earlier one
     (:class:`_BaseSymmetry`); each remaining gluing that passes the
-    per-cylinder screen is applied and de-duplicated, one representative
-    per isomorphism class: by its :func:`class_key` first, and only when
-    that key is seen again by comparing its canonical form with those of
-    the earlier results under the key (isomorphic maps share a key).  The
-    first gluing to reach a class is never skipped, so the result list and
-    its provenance are those of the unreduced search.
+    per-cylinder screen is applied and handed, with the :func:`class_key`
+    its slice computed, to a :class:`ClassSink`, which keeps one
+    representative per isomorphism class.  The first gluing to reach a
+    class is never skipped, so the result list and its provenance are
+    those of the unreduced search.
 
     Every built gluing is a valid map of the target type, with chi fixed
     by the vertex count: the bases are validated once, up front, and the
@@ -612,9 +611,8 @@ def cylinder_search(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
     stats = CylinderSearchStats()
-    results: list[PolyhedralMap] = []
+    sink = ClassSink()
     notes: list[CylinderProvenance] = []
-    seen: dict[int, list[PolyhedralMap]] = {}  # class key -> results with it
 
     for i, b in enumerate(base_maps):
         report = validate(b)
@@ -626,7 +624,7 @@ def cylinder_search(
         target_n = sem_vertex_count(target_type, target_chi)
     except (ImpossibleTypeError, FlatTypeError):
         stats.seconds = time.perf_counter() - t0
-        return results, notes, stats
+        return sink.maps, notes, stats
 
     base_types = {semi_equivelar_type(b) for b in base_maps}
     if len(base_types) != 1 or None in base_types:
@@ -634,7 +632,7 @@ def cylinder_search(
     kind = _infer_kind(base_types.pop(), target_type)
     if kind is None:
         stats.seconds = time.perf_counter() - t0
-        return results, notes, stats
+        return sink.maps, notes, stats
 
     gluings = _gluings(kind)
     symmetries: dict[tuple[int, ...], _BaseSymmetry] = {}
@@ -677,14 +675,9 @@ def cylinder_search(
             for key, choice in found:
                 specs = tuple(CylinderSpec(kind, a, b, *gluings[g])
                               for (a, b), g in zip(pairing, choice))
-                name = "+".join(names) + f"#{len(results) + 1}"
-                m = PolyhedralMap(_apply_bundle(faces, specs), n=n, name=name)
-                same_key = seen.setdefault(key, [])
-                if any(canonical_form(r) == canonical_form(m) for r in same_key):
-                    continue
-                same_key.append(m)
-                results.append(m)
-                notes.append(CylinderProvenance(bases=names, specs=specs))
-    stats.classes = len(results)
+                name = "+".join(names) + f"#{len(sink.maps) + 1}"
+                if sink.add(PolyhedralMap(_apply_bundle(faces, specs), n=n, name=name), key):
+                    notes.append(CylinderProvenance(bases=names, specs=specs))
+    stats.classes = len(sink.maps)
     stats.seconds = time.perf_counter() - t0
-    return results, notes, stats
+    return sink.maps, notes, stats

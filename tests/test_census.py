@@ -27,6 +27,7 @@ from semap import (
 )
 from semap import census
 from semap.census import PRUNE_REASONS
+from semap.isomorphism import ClassSink
 
 T354 = FaceSequence.from_string("3^5,4")
 
@@ -474,3 +475,100 @@ def test_negative_node_budgets_are_refused():
         complete_search(seed_partial(T354, -1), max_nodes=-1)
     _, stats = enumerate_sems(T354, -1, max_nodes=0)
     assert stats.nodes == 0 and not stats.exhausted
+
+
+@pytest.mark.parametrize("text", ["4^3", "3^4", "3^3,4", "3^2,4^2"])
+def test_seeds_that_do_not_fit_give_no_maps(text):
+    # each seed link needs more vertices than chi=1 allows: an arrangement
+    # with no completions, not an error
+    seq = FaceSequence.from_string(text)
+    maps, stats = enumerate_sems(seq, 1)
+    assert maps == [] and stats.exhausted
+    assert (stats.nodes, stats.solutions, stats.classes) == (0, 0, 0)
+    assert stats.reason.count("does not fit") == len(corner_arrangements(seq))
+    assert "outside vertex budget" in stats.reason
+
+
+def test_a_seed_face_that_does_not_fit_gives_no_maps():
+    # (3^3) on chi=1 has 2 vertices, too few for one triangle
+    maps, stats = enumerate_sems(FaceSequence.from_string("3^3"), 1, seed="face")
+    assert maps == [] and stats.exhausted and stats.nodes == 0
+    assert stats.reason.startswith("seed face does not fit: face (0, 1, 2)")
+
+
+def test_key_collisions_fall_back_on_canonical_forms(monkeypatch):
+    # one key for every complete map: each is told apart by its canonical form alone
+    default, _ = enumerate_sems(T354, -1)
+    monkeypatch.setattr(sys.modules["semap.isomorphism"], "class_key", lambda neighbours: 0)
+    collided, stats = enumerate_sems(T354, -1)
+    assert [(m.name, m.faces) for m in collided] == [(m.name, m.faces) for m in default]
+    assert stats.classes == 3
+
+
+def per_seed_reference(seq, chi, max_nodes):
+    """The census run one corner arrangement at a time: a complete_search
+    per seed on what is left of the budget, its counts merged by hand, and
+    classes taken by canonical form afterwards."""
+    nodes = solutions = 0
+    pruned = dict.fromkeys(PRUNE_REASONS, 0)
+    exhausted = True
+    classes, forms = [], set()
+    for arrangement in corner_arrangements(seq):
+        left = None if max_nodes is None else max_nodes - nodes
+        found, sub = complete_search(seed_partial(seq, chi, arrangement), max_nodes=left)
+        nodes += sub.nodes
+        solutions += sub.solutions
+        exhausted = exhausted and sub.exhausted
+        for reason, count in sub.pruned.items():
+            pruned[reason] += count
+        for m in found:
+            if canonical_form(m) not in forms:
+                forms.add(canonical_form(m))
+                classes.append((f"{seq}|chi={chi}#{len(classes) + 1}", m.faces))
+    return nodes, solutions, pruned, exhausted, classes
+
+
+@pytest.mark.parametrize("max_nodes", [10, 40, None])
+def test_one_budget_across_arrangements_matches_the_per_seed_merge(max_nodes):
+    # two arrangements of 24 and 51 nodes: 10 stops in the first, 40 in the second
+    seq = FaceSequence.from_string("3^2,4^2")
+    assert len(corner_arrangements(seq)) == 2
+    maps, stats = enumerate_sems(seq, 2, max_nodes=max_nodes)
+    got = (stats.nodes, stats.solutions, stats.pruned, stats.exhausted,
+           [(m.name, m.faces) for m in maps])
+    assert got == per_seed_reference(seq, 2, max_nodes)
+    assert stats.classes == len(maps)
+    if max_nodes is None:
+        assert (stats.nodes, stats.solutions, stats.classes) == (24 + 51, 4, 2)
+
+
+@pytest.mark.parametrize("chi, max_nodes", [(-1, None), (-2, 10000)])
+def test_census_computes_forms_only_under_repeated_keys(monkeypatch, chi, max_nodes):
+    iso = sys.modules["semap.isomorphism"]
+    arrivals, keys, forms = [], [], []
+    add, key, compute = ClassSink.add, iso.class_key, iso._compute_canonical
+
+    def recording_add(self, m, k=None):
+        arrivals.append(m)
+        return add(self, m, k)
+
+    def recording_key(neighbours):
+        keys.append(key(neighbours))
+        return keys[-1]
+
+    def counting_compute(m):
+        forms.append(m)
+        return compute(m)
+
+    monkeypatch.setattr(ClassSink, "add", recording_add)
+    monkeypatch.setattr(iso, "class_key", recording_key)
+    monkeypatch.setattr(iso, "_compute_canonical", counting_compute)
+    maps, stats = enumerate_sems(T354, chi, max_nodes=max_nodes)
+    assert len(arrivals) == len(keys) == stats.solutions
+    # an arrival whose key was seen, and the representative it is compared
+    # with, is exactly an arrival whose key comes up more than once
+    counts = Counter(keys)
+    repeated = [m for m, k in zip(arrivals, keys) if counts[k] > 1]
+    assert len(forms) == len({id(m) for m in forms}) == len(repeated)
+    assert {id(m) for m in forms} == {id(m) for m in repeated}
+    assert stats.classes == len(maps)

@@ -1,6 +1,10 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
+
+import pytest
 
 from semap import parse_map, validate, are_isomorphic
 from semap.census import PRUNE_REASONS
@@ -98,6 +102,46 @@ def test_enumerate_impossible(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["classes"] == []
+
+
+def test_enumerate_seed_that_does_not_fit_has_no_maps(capsys):
+    # the (4^3) link needs 7 vertices and chi=1 gives 4: no map, and no crash
+    code, out, _ = run(capsys, "enumerate", "--type", "4^3", "--chi", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["classes"] == []
+    assert payload["stats"]["exhausted"] is True
+    assert "outside vertex budget 4" in payload["stats"]["reason"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "semap.cli", "enumerate", "--type", "3^2,4^2", "--chi", "1"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    stats = json.loads(proc.stdout.splitlines()[-1].removeprefix("# stats: "))
+    assert (stats["classes"], stats["exhausted"]) == (0, True)
+    assert stats["reason"].count("does not fit") == 2  # both corner arrangements
+
+
+# sha256 of the JSON output with every "seconds" figure set to 0: names,
+# faces, order, provenance and stats are pinned byte for byte.
+SEARCH_OUTPUT_PINS = [
+    (("enumerate", "--type", "3^5,4", "--chi", "-1"),
+     "3d5e4618d204f0a057b21664a1a087a368020a4e4bd54cffe9fc1c065be91eed"),
+    (("enumerate", "--type", "3^5,4", "--chi", "-2", "--max-nodes", "10000"),
+     "f8e35d46b5046216cc4da4349238d9f65c99d3f60207ebc0daf34220bafbd547"),
+    (("cylinder-search", "--type", "3^5,4^2", "--chi", "-8", "--bases", "k1", "--jobs", "1"),
+     "108fb028b1111c9998b0c5952698de8136103ed920847da01e5931bd9c5be3cb"),
+    (("cylinder-search", "--type", "3^5,4^2", "--chi", "-8", "--bases", "k1", "--jobs", "2"),
+     "108fb028b1111c9998b0c5952698de8136103ed920847da01e5931bd9c5be3cb"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SEARCH_OUTPUT_PINS,
+                         ids=["census-chi-1", "census-chi-2", "quad-k1-jobs1", "quad-k1-jobs2"])
+def test_search_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    out = re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cover_text_and_refusal(capsys, k1, t1):

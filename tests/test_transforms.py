@@ -466,7 +466,12 @@ def test_flag_template_equals_closed_flags(request, names, combo, kind, target, 
                 template.fill(glued[len(kept):])
             assert str(info.value) == str(refusal), specs
             continue
-        assert template.fill(glued[len(kept):]) == expected, specs
+        walls = glued[len(kept):]
+        s2, neighbours = template.fill(walls)
+        wall_fv = [v for w in walls for v in w for _ in (0, 1)]
+        assembled = (list(zip(template.s0, template.s1, s2)), template.fv + wall_fv,
+                     template.flen, neighbours)
+        assert assembled == expected, specs
         closed += 1
     assert closed > 0
     # a dropped wall leaves a site edge open; a repeated wall puts its edges in three faces
