@@ -78,16 +78,18 @@ class PartialMap:
     the same arc, closes it: allowed only for the only arc and v's
     ``degree``-th corner, which leaves ``arcs[v]`` empty.
 
-    ``open_edges`` holds the edges that lie in exactly one face: the sites
-    the search may still extend.  The map is complete once it has a face
-    and no open edge.
+    The arcs also give the open edges, the sites the search may still
+    extend: an edge v-w lies in exactly one face iff w ends an arc at v (a
+    corner covers the two edges it touches, and no edge lies in more than
+    two faces).  So no edge set is stored; ``open_edges`` reads them off
+    ``arcs``, and the map is complete once it has a face and no vertex has
+    an open arc.
 
     ``add_face`` runs every check before it changes anything, so a refused
     face leaves the state as it was.  A commit pushes its undo record (each
-    changed dict entry with its old value, and the edges it opened and
-    closed) on a trail, and ``pop_face`` restores the state from before the
-    last commit exactly; the search commits and pops in place.  ``copy``
-    starts an empty trail.
+    changed dict entry with its old value) on a trail, and ``pop_face``
+    restores the state from before the last commit exactly; the search
+    commits and pops in place.  ``copy`` starts an empty trail.
     """
 
     def __init__(self, n: int, target: FaceSequence):
@@ -97,10 +99,9 @@ class PartialMap:
         self.faces: list[Face] = []
         self.edge_use: dict[tuple[int, int], tuple[int, ...]] = {}
         self.vertex_faces: dict[int, tuple[int, ...]] = {}
-        self.size_used: dict[int, dict[int, int]] = {}
-        self.arcs: dict[int, dict[int, int]] = {}
-        self.open_edges: set[tuple[int, int]] = set()
-        self._trail: list[tuple[list, list, list]] = []
+        self.size_used: dict[int, dict[int, int]] = {v: {} for v in range(n)}
+        self.arcs: dict[int, dict[int, int]] = {v: {} for v in range(n)}
+        self._trail: list[list] = []
 
     def copy(self) -> "PartialMap":
         out = PartialMap.__new__(PartialMap)
@@ -112,7 +113,6 @@ class PartialMap:
         out.vertex_faces = dict(self.vertex_faces)
         out.size_used = {v: dict(c) for v, c in self.size_used.items()}
         out.arcs = {v: dict(e) for v, e in self.arcs.items()}
-        out.open_edges = set(self.open_edges)
         out._trail = []
         return out
 
@@ -122,8 +122,13 @@ class PartialMap:
     def used_vertices(self) -> list[int]:
         return sorted(self.vertex_faces)
 
+    @property
+    def open_edges(self) -> set[tuple[int, int]]:
+        """The edges that lie in exactly one face, each as (low, high)."""
+        return {(v, w) for v, ends in self.arcs.items() for w in ends if v < w}
+
     def is_complete(self) -> bool:
-        return bool(self.faces) and not self.open_edges
+        return bool(self.faces) and not any(self.arcs.values())
 
     # -- commits -----------------------------------------------------------
 
@@ -145,7 +150,7 @@ class PartialMap:
             if all(fi in fs for fs in uses):
                 raise LinkContradiction(f"face {face} already committed", "duplicate")
         for v in face:
-            if self.size_used.get(v, {}).get(size, 0) >= self.target[size]:
+            if self.size_used[v].get(size, 0) >= self.target[size]:
                 raise LinkContradiction(
                     f"vertex {v} has no remaining {size}-gon slot", "slot")
 
@@ -157,7 +162,7 @@ class PartialMap:
         corners = []
         for i, v in enumerate(face):
             a, b = face[i - 1], face[(i + 1) % size]
-            ends = self.arcs.get(v, {})
+            ends = self.arcs[v]
             x, y = ends.get(a, a), ends.get(b, b)
             count = len(self.vertex_faces.get(v, ())) + 1
             if x != b:
@@ -195,17 +200,10 @@ class PartialMap:
 
         idx = len(self.faces)
         self.faces.append(face)
-        opened, closed = [], []
         for e, fs in zip(edges, uses):
             put(edge_use, e, fs + (idx,))
-            (closed if fs else opened).append(e)
-        self.open_edges.difference_update(closed)
-        self.open_edges.update(opened)
         for v, a, b, x, y in corners:
             put(self.vertex_faces, v, self.vertex_faces.get(v, ()) + (idx,))
-            if v not in self.size_used:
-                put(self.size_used, v, {})
-                put(self.arcs, v, {})
             counts, ends = self.size_used[v], self.arcs[v]
             put(counts, size, counts.get(size, 0) + 1)
             for k in (a, b):
@@ -214,18 +212,15 @@ class PartialMap:
             if x != b:
                 put(ends, x, y)
                 put(ends, y, x)
-        self._trail.append((undo, opened, closed))
+        self._trail.append(undo)
 
     def pop_face(self) -> Face:
         """Undo the last :meth:`add_face` exactly and return its face."""
-        undo, opened, closed = self._trail.pop()
-        for d, k, old in reversed(undo):
+        for d, k, old in reversed(self._trail.pop()):
             if old is None:
                 del d[k]
             else:
                 d[k] = old
-        self.open_edges.difference_update(opened)
-        self.open_edges.update(closed)
         return self.faces.pop()
 
     def to_map(self, name: str = "") -> PolyhedralMap:
@@ -309,13 +304,13 @@ def seed_partial(seq: FaceSequence, chi: int,
 # ---------------------------------------------------------------------------
 
 def _site(partial: PartialMap) -> tuple[int, int]:
-    """Most constrained open site: the vertex with the fewest remaining
-    corners (then smallest label), and its smallest open edge.  The map
+    """Most constrained open site: of the vertices with an open arc, the
+    one with the fewest remaining corners (then smallest label), and the
+    least end of its arcs, which gives its smallest open edge.  The map
     must have an open edge."""
-    faces_at = partial.vertex_faces
-    _, v, w = min((-len(faces_at[v]), v, w) for a, b in partial.open_edges
-                  for v, w in ((a, b), (b, a)))
-    return v, w
+    faces_at, arcs = partial.vertex_faces, partial.arcs
+    _, v = min((-len(faces_at[v]), v) for v, ends in arcs.items() if ends)
+    return v, min(arcs[v])
 
 
 def _candidate_faces(partial: PartialMap, v: int, w: int) -> list[Face]:

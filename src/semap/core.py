@@ -324,9 +324,6 @@ class FaceSequence:
         """Total number of faces around the vertex."""
         return sum(p for _, p in self.entries)
 
-    def multiplicity(self, size: int) -> int:
-        return dict(self.entries).get(size, 0)
-
     def curvature(self) -> Fraction:
         """Per-vertex Euler contribution 1 - d/2 + sum(p_i / a_i)."""
         d = self.degree
@@ -393,31 +390,33 @@ class VertexLink:
 
     @classmethod
     def from_notation(cls, center: int, text: str) -> "VertexLink":
-        """Parse link notation like ``"C7([2, 3, 4], 5, 6, 7, 1)"``.
+        """Parse link notation like ``"C9([2, 3, 4], [4, 5, 6], 7, 8, 9, 1)"``.
 
-        The bracketed block marks a quadrangle corner; the remaining labels
-        are triangle corners closing the cycle back to the bracket.
+        The tokens walk once round the link: a bracket of k >= 3 labels is
+        one corner, starting where the walk stands, a plain label the far end
+        of a triangle corner (or, first, the start), and the walk closes back
+        to its start.  A bad token raises ``ValueError`` naming it.
         """
-        body = text.strip()
-        m = re.match(r"^C_?\d*\s*\((.*)\)$", body)
-        if m:
-            body = m.group(1)
-        bracket = None
-        rest: list[int] = []
-        bm = re.search(r"\[([^\]]*)\]", body)
-        if bm:
-            bracket = [int(t) for t in bm.group(1).replace(" ", "").split(",")]
-            body = body[:bm.start()] + body[bm.end():]
-        rest = [int(t) for t in body.replace(" ", "").split(",") if t]
+        m = re.fullmatch(r"\s*C_?\d*\s*\((.*)\)\s*", text)
+        start = at = None
         corners: list[Face] = []
-        if bracket is not None:
-            if len(bracket) != 3:
-                raise ValueError(f"quadrangle corner needs 3 labels: {bracket}")
-            chain = [bracket[2]] + rest + [bracket[0]]
-            corners.append(tuple(bracket))
-        else:
-            chain = rest + [rest[0]]
-        corners.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
+        for token in re.split(r",(?![^\[]*\])", m.group(1) if m else text):
+            token = token.strip()
+            bracket = token[:1] == "[" and token[-1:] == "]"
+            try:
+                labels = [int(t) for t in (token[1:-1] if bracket else token).split(",")]
+            except ValueError:
+                raise ValueError(f"bad token {token!r} in link {text!r}") from None
+            if bracket and (len(labels) < 3 or at not in (None, labels[0])):
+                raise ValueError(f"bad corner {token} after {at} in link {text!r}")
+            if bracket or at is not None:
+                corners.append(tuple(labels) if bracket else (at, labels[0]))
+            start = labels[0] if start is None else start
+            at = labels[-1]
+        if at != start:
+            corners.append((at, start))
+        if not corners:
+            raise ValueError(f"link {text!r} has no corners")
         return cls.from_corners(center, corners)
 
     @property
@@ -442,31 +441,18 @@ class VertexLink:
         return tuple((self.center,) + c for c in self.corners)
 
     def notation(self) -> str:
-        """Render as C-notation: brackets mark the larger corners, the other
-        labels walk the rest of the link cycle."""
-        order = self.corners
-        bigs = [i for i, c in enumerate(order) if len(c) > 2]
-        if bigs:
-            order = order[bigs[0]:] + order[:bigs[0]]
-        walk: list[int] = []
-        for c in order:
-            walk.extend(c[:-1])
-        length = len(walk)
-        if not bigs:
-            return f"C{length}(" + ", ".join(map(str, walk)) + ")"
-        tokens: list[str] = []
-        pos = 0
-        for c in order:
-            k = len(c)
-            if k > 2:
-                block = [walk[(pos + j) % length] for j in range(k)]
-                tokens.append("[" + ", ".join(map(str, block)) + "]")
-                pos += k - 1
-            else:
-                if pos + 1 < length:
-                    tokens.append(str(walk[pos + 1]))
-                pos += 1
-        return f"C{length}(" + ", ".join(tokens) + ")"
+        """Render as C-notation, the walk :meth:`from_notation` reads: from
+        the first larger corner, brackets mark the larger corners, a plain
+        label is the far end of a triangle corner, and the walk's return to
+        its start is left out."""
+        bigs = [i for i, c in enumerate(self.corners) if len(c) > 2]
+        i = bigs[0] if bigs else 0
+        order = self.corners[i:] + self.corners[:i]
+        tokens = [] if bigs else [str(order[0][0])]
+        tokens += [str(list(c)) if len(c) > 2 else str(c[1]) for c in order]
+        if len(order[-1]) == 2:
+            tokens.pop()
+        return f"C{len(self.link_vertices)}(" + ", ".join(tokens) + ")"
 
 
 def vertex_link(m: PolyhedralMap, v: int) -> VertexLink:

@@ -42,6 +42,9 @@ from .core import (
 # Simple graphs (G_t graphs)
 # ---------------------------------------------------------------------------
 
+MAX_COMPONENT = 9  # largest component ``unlabeled_key`` brute-forces
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected graph on vertices 0..n-1, no loops or multi-edges."""
@@ -74,18 +77,18 @@ class SimpleGraph:
         return [(frozenset(vs), frozenset(e for e in self.edges if label[e[0]] == root))
                 for root, vs in verts.items()]
 
-    def unlabeled_key(self, max_component: int = 9):
+    def unlabeled_key(self):
         """Isomorphism-class key: component shapes by brute force, plus n.
 
         Only meant for the sparse graphs that show up as G_t invariants;
-        refuses components larger than ``max_component``.
+        refuses components larger than :data:`MAX_COMPONENT`.
         """
         from itertools import permutations
 
         shapes = []
         for comp, es in self.components():
             verts = sorted(comp)
-            if len(verts) > max_component:
+            if len(verts) > MAX_COMPONENT:
                 raise ValueError(f"component with {len(verts)} vertices is too large")
             best = None
             for perm in permutations(range(len(verts))):

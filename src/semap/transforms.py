@@ -5,11 +5,11 @@ from __future__ import annotations
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import (
     accumulate, chain, combinations_with_replacement, groupby, permutations, product, zip_longest,
 )
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     Face,
@@ -312,78 +312,6 @@ def _infer_kind(base_type: FaceSequence, target_type: FaceSequence) -> str | Non
     return None
 
 
-def _combo_units(base_maps, target_type, target_chi, kind):
-    """Deterministic stream of work units, each with its base multiset:
-    (combo, (names, faces, n, pairing)), ``combo`` a sorted tuple of
-    indices into ``base_maps``.
-
-    A unit fixes the base multiset and one admissible pairing of cylinder
-    sites; the gluing choices remain to be enumerated.  Units from
-    different base multisets are interleaved round-robin so truncated
-    searches still sample every combination of bases.
-    """
-    per_task: list[tuple[tuple[int, ...], list[tuple]]] = []
-    target_n = sem_vertex_count(target_type, target_chi)
-    max_copies = max(1, target_n // min(b.n for b in base_maps))
-    for count in range(1, max_copies + 1):
-        for combo in combinations_with_replacement(range(len(base_maps)), count):
-            picked = [base_maps[i] for i in combo]
-            if sum(b.n for b in picked) != target_n:
-                continue
-            chi_sum = sum(surface_profile(b).euler_characteristic for b in picked)
-            twice = chi_sum - target_chi
-            if twice <= 0 or twice % 2:
-                continue
-            n_cyl = twice // 2
-            units = list(_units_for_multiset(picked, n_cyl, kind))
-            if units:
-                per_task.append((combo, units))
-    # Round-robin across base multisets.
-    for batch in zip_longest(*(units for _, units in per_task)):
-        for (combo, _), unit in zip(per_task, batch):
-            if unit is not None:
-                yield combo, unit
-
-
-def _units_for_multiset(picked, n_cyl, kind):
-    offset = 0
-    faces: list[Face] = []
-    base_of: list[int] = []  # vertex -> index of its base in ``picked``
-    names = []
-    for ci, b in enumerate(picked):
-        names.append(b.name or f"base{ci}")
-        faces.extend(tuple(v + offset for v in f) for f in b.faces)
-        base_of.extend([ci] * b.n)
-        offset += b.n
-    union = PolyhedralMap(faces, n=offset)
-    if kind == "quad":
-        quads = sorted(f for f in union.face_keys if len(f) == 4)
-        if len(quads) != 2 * n_cyl:
-            return
-        site_sets: Iterable = [quads]
-    else:
-        site_sets = [sorted(p) for p in _triangle_partitions(union)
-                     if len(p) == 2 * n_cyl]
-    units = []
-    for sites in site_sets:
-        for pairing in _perfect_matchings(list(sites)):
-            if any(set(a) & set(b) for a, b in pairing):
-                continue
-            joined = components(len(picked), ((base_of[a[0]], base_of[b[0]])
-                                               for a, b in pairing))
-            if any(joined):  # some base is not joined to the first one
-                continue
-            units.append((tuple(names), tuple(faces), offset, pairing))
-    # Same-component pairs are heavily constrained (their walls tend to hit
-    # existing edges); try the units with the fewest of them first so a
-    # truncated search reaches productive gluings early.
-    def same_component_pairs(unit):
-        return sum(1 for a, b in unit[3] if base_of[a[0]] == base_of[b[0]])
-
-    units.sort(key=lambda u: (same_component_pairs(u), u[3]))
-    yield from units
-
-
 def _without(faces, removed) -> list[Face]:
     """``faces`` less every rotation or reflection of a face in ``removed``;
     only the removed faces are turned, no face of ``faces`` is normalised."""
@@ -404,96 +332,87 @@ def _apply_bundle(faces, specs) -> list[Face]:
     return out
 
 
-def _feasible_gluings(unit, kind: str) -> list[list[tuple[int, bool]]]:
-    """For each site pair of a unit, the gluings whose walls fit the faces
-    that survive the surgery.
-
-    A wall face joins vertices of ``a`` to vertices of ``b``.  If a
-    surviving face also holds such a cross pair, it meets the wall face in
-    two vertices that are not a shared edge, or puts an edge in three
-    faces, so validation must fail.  No site holds a cross pair (sites are
-    disjoint, below), so the faces of the bases are read whole.
-
-    The screen is also sufficient: every combination of screened gluings
-    gives a valid map of the target type.  Assume the bases are valid maps
-    of the base type, the sites are pairwise vertex-disjoint, the pairing
-    joins every base to the first, and no surviving face holds a cross
-    pair of a wall of its own pair.  Walls of different pairs then share no
-    vertex, and each axiom ``validate`` checks holds:
-
-    - Edge degree.  An edge on no site keeps its two faces of the bases.
-      A site edge keeps its neighbour across it (not a site: sites are
-      disjoint) and lies in exactly one wall.  A cross edge lies in exactly
-      two walls of its pair, and in no surviving face or site.
-    - Face intersection.  A surviving face meets a wall on one side only
-      (the screen), so inside the wall's part on that side: a vertex, or
-      an edge of both the wall and the site.  The face met the site in
-      nothing, a vertex or a common edge (the bases are valid), so it
-      meets the wall in nothing, a vertex or a common edge.  Walls of one
-      pair meet as in a cylinder; walls of different pairs are disjoint.
-    - Links.  At a vertex on no site nothing changes.  At a site vertex
-      the walls replace the removed corner by one path of walls between
-      the same two site edges; its inner edges are cross edges, which lie
-      in walls only, so the faces around the vertex still form one cycle.
-    - Connectivity.  Each valid base is connected, keeps all its edges,
-      and the cross edges join the bases as the pairing does.
-    - Type.  Every vertex lies on exactly one site (below), so it loses
-      one face and gains two quadrangles (one net) or three triangles (two
-      net): the base type becomes the target type.
-
-    Disjoint sites, one at every vertex, are forced, not assumed.  Triangle
-    sites are vertex partitions.  A quad unit uses all quadrangles.  Each
-    quad cylinder lowers chi by 2, and on n vertices the target type has
-    chi lower than the base type by n/4 (curvature 1/4 less per vertex),
-    so a unit has n/4 sites; the bases hold m4 * n/4 quadrangles when each
-    vertex lies on m4.  Units therefore exist only for m4 = 1, one
-    quadrangle at every vertex.
-    """
-    _, faces, n, pairing = unit
-    at = {v: set(fs) for v, fs in PolyhedralMap(faces, n=n).vertex_faces.items()}
-    out = []
-    for a, b in pairing:
-        side = set(a)
-        out.append([(o, r) for o, r in _gluings(kind) if not any(
-            at[x] & at[y] for w in _wall_faces(a, b, o, r)
-            for x in w if x in side for y in w if y not in side)])
-    return out
-
-
 def _image(perm, faces) -> frozenset:
     """The normalised images of ``faces`` under the vertex map ``perm``."""
     return frozenset(normalize_face(tuple(perm[v] for v in f)) for f in faces)
 
 
-class _BaseSymmetry:
-    """The symmetry group of one base multiset and the units it has met.
+class _Multiset:
+    """One base multiset of the cylinder search, shared by all its units.
 
-    The group acts on the labels of the disjoint union of the bases: an
-    automorphism on every copy, then any permutation of the copies of one
-    base.  A symmetry maps every gluing of a unit onto a gluing of the
-    image unit, and validity, type and canonical form do not depend on
-    labels, so a unit whose pairing is the image of an earlier one's can
-    only repeat classes, and so can a gluing that a symmetry fixing its
-    pairing maps onto an earlier gluing of the same unit (orderly
-    generation: B. D. McKay, J. Algorithms 26, 1998).
+    ``combo`` is a sorted tuple of indices into the search's bases.  The
+    multiset holds the disjoint union of those bases (the i-th copy's
+    labels shifted past its predecessors'), the copy of each vertex, the
+    faces at each vertex, its symmetry group and the pairings it has met.
+
+    The group acts on the labels of the union: an automorphism on every
+    copy, then any permutation of the copies of one base.  A symmetry maps
+    every gluing of a unit onto a gluing of the image unit, and validity,
+    type and canonical form do not depend on labels, so a unit whose
+    pairing is the image of an earlier one's can only repeat classes, and
+    so can a gluing that a symmetry fixing its pairing maps onto an earlier
+    gluing of the same unit (orderly generation: B. D. McKay, J. Algorithms
+    26, 1998).
     """
 
     def __init__(self, base_maps, combo):
-        offsets = list(accumulate((base_maps[i].n for i in combo), initial=0))
-        autos = [automorphism_group(base_maps[i]).elements for i in combo]
-        # Copies of one base are consecutive in ``combo``; each block is
-        # permuted among itself.
+        self.combo = combo
+        self.bases = [base_maps[i] for i in combo]
+        self.names = tuple(b.name or f"base{c}" for c, b in enumerate(self.bases))
+        self.copy_of = [c for c, b in enumerate(self.bases) for _ in range(b.n)]
+        self.n = len(self.copy_of)
+        self.offsets = list(accumulate((b.n for b in self.bases), initial=0))
+        self.union = PolyhedralMap([tuple(v + o for v in f)
+                                    for b, o in zip(self.bases, self.offsets) for f in b.faces],
+                                   n=self.n)
+        self.faces = self.union.faces
+        self.at = {v: set(fs) for v, fs in self.union.vertex_faces.items()}
+        self.met: set[frozenset] = set()  # every image of an admitted pairing
+
+    @cached_property
+    def elements(self) -> list[list[int]]:
+        """The symmetry group, as vertex maps of the union.  Computed at the
+        first :meth:`admit`, once the search has validated the bases."""
+        offsets, combo = self.offsets, self.combo
+        autos = [automorphism_group(b).elements for b in self.bases]
+        # copies of one base are consecutive in ``combo``: permute each block
         blocks = [list(g) for _, g in groupby(range(len(combo)), key=combo.__getitem__)]
-        self.elements = []
+        out = []
         for dest in product(*(permutations(b) for b in blocks)):
             dest = tuple(chain.from_iterable(dest))
             for alphas in product(*autos):
-                perm = [0] * offsets[-1]
+                perm = [0] * self.n
                 for c, alpha in enumerate(alphas):
                     for x, y in enumerate(alpha):
                         perm[offsets[c] + x] = offsets[dest[c]] + y
-                self.elements.append(perm)
-        self.met: set[frozenset] = set()  # every image of an admitted pairing
+                out.append(perm)
+        return out
+
+    def pairings(self, n_cyl: int, kind: str) -> list[tuple]:
+        """The admissible pairings of ``n_cyl`` cylinders: disjoint site
+        pairs joining every copy to the first.  Sites are all quadrangles
+        (quad) or a vertex partition into triangles (tri).
+
+        Same-copy pairs are heavily constrained (their walls tend to hit
+        existing edges); the pairings with the fewest of them come first so
+        a truncated search reaches productive gluings early.
+        """
+        if kind == "quad":
+            site_sets = [sorted(f for f in self.union.face_keys if len(f) == 4)]
+        else:
+            site_sets = [sorted(p) for p in _triangle_partitions(self.union)]
+        copy_of = self.copy_of
+        out = []
+        for sites in (s for s in site_sets if len(s) == 2 * n_cyl):
+            for pairing in _perfect_matchings(sites):
+                if any(set(a) & set(b) for a, b in pairing):
+                    continue
+                joined = components(len(self.bases), ((copy_of[a[0]], copy_of[b[0]])
+                                                      for a, b in pairing))
+                if not any(joined):  # every copy is joined to the first one
+                    out.append(pairing)
+        out.sort(key=lambda p: (sum(copy_of[a[0]] == copy_of[b[0]] for a, b in p), p))
+        return out
 
     def admit(self, pairing, kind: str) -> list[tuple] | None:
         """None if a symmetry maps ``pairing`` onto the pairing of an earlier
@@ -503,7 +422,7 @@ class _BaseSymmetry:
         sends it to and where each gluing index of ``i`` lands on ``j``;
         it is read off by matching normalised wall sets.
         """
-        identity = list(range(len(self.elements[0])))
+        identity = list(range(self.n))
         key = frozenset(_image(identity, p) for p in pairing)
         if key in self.met:
             return None
@@ -525,6 +444,93 @@ class _BaseSymmetry:
             moves.append(tuple(move))
         return moves
 
+    def screen(self, pairing, kind: str) -> list[list[int]]:
+        """For each site pair of ``pairing``, the indices into
+        :func:`_gluings` of the gluings whose walls fit the faces that
+        survive the surgery.
+
+        A wall face joins vertices of ``a`` to vertices of ``b``.  If a
+        surviving face also holds such a cross pair, it meets the wall face
+        in two vertices that are not a shared edge, or puts an edge in three
+        faces, so validation must fail.  No site holds a cross pair (sites
+        are disjoint, below), so the faces of the bases are read whole.
+
+        The screen is also sufficient: every combination of screened
+        gluings gives a valid map of the target type.  Assume the bases are
+        valid maps of the base type, the sites are pairwise vertex-disjoint,
+        the pairing joins every base to the first, and no surviving face
+        holds a cross pair of a wall of its own pair.  Walls of different
+        pairs then share no vertex, and each axiom ``validate`` checks
+        holds:
+
+        - Edge degree.  An edge on no site keeps its two faces of the bases.
+          A site edge keeps its neighbour across it (not a site: sites are
+          disjoint) and lies in exactly one wall.  A cross edge lies in
+          exactly two walls of its pair, and in no surviving face or site.
+        - Face intersection.  A surviving face meets a wall on one side only
+          (the screen), so inside the wall's part on that side: a vertex, or
+          an edge of both the wall and the site.  The face met the site in
+          nothing, a vertex or a common edge (the bases are valid), so it
+          meets the wall in nothing, a vertex or a common edge.  Walls of
+          one pair meet as in a cylinder; walls of different pairs are
+          disjoint.
+        - Links.  At a vertex on no site nothing changes.  At a site vertex
+          the walls replace the removed corner by one path of walls between
+          the same two site edges; its inner edges are cross edges, which
+          lie in walls only, so the faces around the vertex still form one
+          cycle.
+        - Connectivity.  Each valid base is connected, keeps all its edges,
+          and the cross edges join the bases as the pairing does.
+        - Type.  Every vertex lies on exactly one site (below), so it loses
+          one face and gains two quadrangles (one net) or three triangles
+          (two net): the base type becomes the target type.
+
+        Disjoint sites, one at every vertex, are forced, not assumed.
+        Triangle sites are vertex partitions.  A quad unit uses all
+        quadrangles.  Each quad cylinder lowers chi by 2, and on n vertices
+        the target type has chi lower than the base type by n/4 (curvature
+        1/4 less per vertex), so a unit has n/4 sites; the bases hold
+        m4 * n/4 quadrangles when each vertex lies on m4.  Units therefore
+        exist only for m4 = 1, one quadrangle at every vertex.
+        """
+        at = self.at
+        out = []
+        for a, b in pairing:
+            side = set(a)
+            out.append([g for g, (o, r) in enumerate(_gluings(kind)) if not any(
+                at[x] & at[y] for w in _wall_faces(a, b, o, r)
+                for x in w if x in side for y in w if y not in side)])
+        return out
+
+
+def _combo_units(base_maps, target_type, target_chi, kind) -> Iterator[tuple[_Multiset, tuple]]:
+    """Deterministic stream of work units ``(multiset, pairing)``: one
+    :class:`_Multiset` per base multiset, shared by all its units, and one
+    of its admissible pairings of cylinder sites; the gluing choices remain
+    to be enumerated.  Units from different base multisets are interleaved
+    round-robin so truncated searches still sample every combination of
+    bases.
+    """
+    per_multiset: list[tuple[_Multiset, list[tuple]]] = []
+    target_n = sem_vertex_count(target_type, target_chi)
+    chis = [surface_profile(b).euler_characteristic for b in base_maps]
+    max_copies = max(1, target_n // min(b.n for b in base_maps))
+    for count in range(1, max_copies + 1):
+        for combo in combinations_with_replacement(range(len(base_maps)), count):
+            if sum(base_maps[i].n for i in combo) != target_n:
+                continue
+            twice = sum(chis[i] for i in combo) - target_chi
+            if twice <= 0 or twice % 2:
+                continue
+            multiset = _Multiset(base_maps, combo)
+            pairings = multiset.pairings(twice // 2, kind)
+            if pairings:
+                per_multiset.append((multiset, pairings))
+    for batch in zip_longest(*(pairings for _, pairings in per_multiset)):
+        for (multiset, _), pairing in zip(per_multiset, batch):
+            if pairing is not None:
+                yield multiset, pairing
+
 
 def _orbit_least(choice: tuple, moves) -> bool:
     """Whether no move maps the gluing-index tuple ``choice`` below itself."""
@@ -544,7 +550,7 @@ def _run_unit(kept, pairing, moves, feasible, n: int, kind: str) -> tuple[int, l
     ``kept`` is what the unit's bases keep once its sites are removed.  A
     slice fixes the gluing of the first site pair: ``feasible`` lists the
     gluing indices it allows per pair, all screened
-    (:func:`_feasible_gluings`), which makes every combination a valid map
+    (:meth:`_Multiset.screen`), which makes every combination a valid map
     of the target type.  Only those that no symmetry in ``moves`` maps onto
     an earlier one are constructed: one :class:`FlagTemplate` of ``kept``
     per slice, filled with each gluing's walls (which checks the gluing is
@@ -581,7 +587,7 @@ def cylinder_search(
     every vertex once when it gains two triangles.  Symmetries of the
     bases (automorphisms of each copy, swaps of copies of one base) skip
     every bundle and every gluing they map onto an earlier one
-    (:class:`_BaseSymmetry`); each remaining gluing that passes the
+    (:class:`_Multiset`); each remaining gluing that passes the
     per-cylinder screen is applied and handed, with the :func:`class_key`
     its slice computed, to a :class:`ClassSink`, which keeps one
     representative per isomorphism class.  The first gluing to reach a
@@ -591,7 +597,7 @@ def cylinder_search(
     Every built gluing is a valid map of the target type, with chi fixed
     by the vertex count: the bases are validated once, up front, and the
     screen is proved sufficient for valid bases in
-    :func:`_feasible_gluings`.  So ``stats.valid`` equals ``stats.built``.
+    :meth:`_Multiset.screen`.  So ``stats.valid`` equals ``stats.built``.
     An invalid base, or bases of different types, raise
     :class:`TransformError`.
 
@@ -635,32 +641,27 @@ def cylinder_search(
         return sink.maps, notes, stats
 
     gluings = _gluings(kind)
-    symmetries: dict[tuple[int, ...], _BaseSymmetry] = {}
     admitted = 0
-    units, kept, moves, feasible = [], [], [], []  # one entry per slice
-    for combo, unit in _combo_units(base_maps, target_type, target_chi, kind):
-        cost = len(gluings) ** len(unit[3])
+    slices = []  # (multiset, kept, pairing, moves, feasible) per slice
+    for multiset, pairing in _combo_units(base_maps, target_type, target_chi, kind):
+        cost = len(gluings) ** len(pairing)
         if max_candidates is not None and stats.candidates + cost > max_candidates:
             stats.exhausted = False
             break
         stats.candidates += cost
         stats.bundles += 1
-        if combo not in symmetries:
-            symmetries[combo] = _BaseSymmetry(base_maps, combo)
-        unit_moves = symmetries[combo].admit(unit[3], kind)
-        if unit_moves is None:
+        moves = multiset.admit(pairing, kind)
+        if moves is None:
             stats.covered_units += 1
             continue
         admitted += 1
-        survivors = _without(unit[1], chain.from_iterable(unit[3]))
-        ok = [[gluings.index(g) for g in gs] for gs in _feasible_gluings(unit, kind)]
-        for first in ok[0]:  # ``product`` varies the first pair slowest
-            units.append(unit)
-            kept.append(survivors)
-            moves.append(unit_moves)
-            feasible.append([[first]] + ok[1:])
+        kept = _without(multiset.faces, chain.from_iterable(pairing))
+        ok = multiset.screen(pairing, kind)
+        # ``product`` varies the first pair slowest
+        slices.extend((multiset, kept, pairing, moves, [[first]] + ok[1:]) for first in ok[0])
 
     run = partial(_run_unit, n=target_n, kind=kind)
+    work = [[s[i] for s in slices] for i in range(1, 5)]  # what a worker receives
     with ExitStack() as stack:
         spread = map
         if jobs > 1 and admitted > 1:
@@ -668,16 +669,16 @@ def cylinder_search(
 
             pool = cf.ProcessPoolExecutor(max_workers=min(jobs, admitted))
             spread = stack.enter_context(pool).map
-        slices = spread(run, kept, [unit[3] for unit in units], moves, feasible)
-        for (names, faces, n, pairing), (built, found) in zip(units, slices):  # in order
-            stats.built += built
+        for (multiset, _, pairing, _, _), (built, found) in zip(slices, spread(run, *work)):
+            stats.built += built  # slices arrive in order
             stats.valid += len(found)
             for key, choice in found:
                 specs = tuple(CylinderSpec(kind, a, b, *gluings[g])
                               for (a, b), g in zip(pairing, choice))
-                name = "+".join(names) + f"#{len(sink.maps) + 1}"
-                if sink.add(PolyhedralMap(_apply_bundle(faces, specs), n=n, name=name), key):
-                    notes.append(CylinderProvenance(bases=names, specs=specs))
+                name = "+".join(multiset.names) + f"#{len(sink.maps) + 1}"
+                glued = _apply_bundle(multiset.faces, specs)
+                if sink.add(PolyhedralMap(glued, n=multiset.n, name=name), key):
+                    notes.append(CylinderProvenance(bases=multiset.names, specs=specs))
     stats.classes = len(sink.maps)
     stats.seconds = time.perf_counter() - t0
     return sink.maps, notes, stats

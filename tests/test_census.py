@@ -238,17 +238,33 @@ def open_edges_of(faces):
     return {e for e, k in uses.items() if k == 1}
 
 
+def site_of(faces):
+    """The least (-faces at v, v, w) over both directions of the open
+    edges of a raw face list, or None when no edge is open."""
+    at = Counter(v for f in faces for v in f)
+    sites = [(-at[v], v, w) for a, b in open_edges_of(faces) for v, w in ((a, b), (b, a))]
+    return min(sites)[1:] if sites else None
+
+
+def check_state(engine, p, faces):
+    """``open_edges`` holds the edges lying in one face, and ``_site``
+    picks the reference site whenever one is open."""
+    assert p.open_edges == open_edges_of(faces)
+    if p.open_edges:
+        assert engine._site(p) == site_of(faces)
+
+
 def check_engine(engine, seq, n, ops):
     """``add_face`` accepts exactly what the oracle admits, a refusal
     changes nothing, each ``pop_face`` restores the state before its add,
-    and ``open_edges`` always holds the edges lying in one face."""
+    and the open edges and the search site always match the raw faces."""
     p = engine.PartialMap(n, seq)
     faces, before = [], []
     for face in ops:
         if face is None:
             if faces:
                 assert p.pop_face() == faces.pop()
-                assert p.open_edges == open_edges_of(faces)
+                check_state(engine, p, faces)
                 assert vars(p) == before.pop()
             continue
         snapshot = copy.deepcopy(vars(p))
@@ -261,11 +277,11 @@ def check_engine(engine, seq, n, ops):
             continue
         assert partial_map_admits(faces, face, n, seq), (faces, face)
         faces.append(face)
-        assert p.open_edges == open_edges_of(faces)
+        check_state(engine, p, faces)
         before.append(snapshot)
     while faces:
         assert p.pop_face() == faces.pop()
-        assert p.open_edges == open_edges_of(faces)
+        check_state(engine, p, faces)
         assert vars(p) == before.pop()
 
 

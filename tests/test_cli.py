@@ -132,11 +132,18 @@ SEARCH_OUTPUT_PINS = [
      "108fb028b1111c9998b0c5952698de8136103ed920847da01e5931bd9c5be3cb"),
     (("cylinder-search", "--type", "3^5,4^2", "--chi", "-8", "--bases", "k1", "--jobs", "2"),
      "108fb028b1111c9998b0c5952698de8136103ed920847da01e5931bd9c5be3cb"),
+    # several base multisets: round-robin, covered units, a pool across multisets
+    (("cylinder-search", "--type", "3^5,4^2", "--chi", "-8", "--bases", "k1,k2,k3"),
+     "3c09bd7e61e5236b0bc403b11d6d9ab02f4f27a7a295a1c823c03fec8a4a8a81"),
+    (("cylinder-search", "--type", "3^7,4", "--chi", "-10", "--bases", "k1,k2,k3",
+      "--max-candidates", "2592", "--jobs", "2"),
+     "ee2bdd24f6924ce9b6b65ffa292e07db0008ea2a2aa29248d57426f1deaa8cab"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", SEARCH_OUTPUT_PINS,
-                         ids=["census-chi-1", "census-chi-2", "quad-k1-jobs1", "quad-k1-jobs2"])
+                         ids=["census-chi-1", "census-chi-2", "quad-k1-jobs1", "quad-k1-jobs2",
+                              "quad-k123", "tri-k123-2592-jobs2"])
 def test_search_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0

@@ -15,6 +15,7 @@ from semap import (
     is_d_covered,
     is_orientable,
     normalize_face,
+    seed_link,
     sem_vertex_count,
     semi_equivelar_type,
     stack_faces,
@@ -230,6 +231,32 @@ def test_link_notation_round_trip():
     assert link.notation() == "C7([2, 3, 4], 5, 6, 7, 1)"
     assert link.degree == 6
     assert link.cycle == vertex_link_cycle_from(link)
+
+
+def test_link_notation_reads_what_it_writes(all_catalog, k1_quad):
+    maps = [entry.map for entry in all_catalog] + k1_quad[0]
+    for m in maps:
+        for v in range(m.n):
+            link = vertex_link(m, v)
+            assert VertexLink.from_notation(v, link.notation()) == link, (m.name, v)
+    # two or more larger corners, and a pentagon corner
+    for arrangement in [(4, 4, 3, 3, 3, 3, 3), (4, 3, 4, 3, 3, 3, 3), (5, 3, 3, 3), (4, 4, 4)]:
+        link = seed_link(arrangement)
+        assert VertexLink.from_notation(0, link.notation()) == link, arrangement
+    assert seed_link((4, 4, 3, 3, 3, 3, 3)).notation() == "C9([2, 3, 4], [4, 5, 6], 7, 8, 9, 1)"
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("C7([2, 3], 5, 6)", "[2, 3]"),
+    ("C7([2, 3, 4], x, 6)", "'x'"),
+    ("C7([2, 3, 4], [5, 6, 7], 1)", "[5, 6, 7]"),
+    ("C7([2, 3, 4, 5)", "'[2'"),
+    ("C7(1, 2,, 3)", "''"),
+    ("C1(5)", "no corners"),
+])
+def test_link_notation_names_the_bad_token(text, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        VertexLink.from_notation(0, text)
 
 
 def vertex_link_cycle_from(link):

@@ -129,6 +129,12 @@ def test_g2_of_k1_is_two_disjoint_edges(k1, k2):
     assert g_t_graph(k1, 2).unlabeled_key() == g_t_graph(k2, 2).unlabeled_key()
 
 
+def test_unlabeled_key_refuses_a_component_of_ten_vertices():
+    path = SimpleGraph(10, frozenset((i, i + 1) for i in range(9)))
+    with pytest.raises(ValueError, match="component with 10 vertices is too large"):
+        path.unlabeled_key()
+
+
 def test_simple_graph_rejects_loops_and_range():
     with pytest.raises(ValueError):
         SimpleGraph(3, frozenset({(1, 1)}))

@@ -370,15 +370,13 @@ def test_key_collisions_fall_back_on_canonical_forms(k1, k1_quad, monkeypatch):
 
 def test_slices_concatenate_to_the_whole_unit(k1):
     # ``product`` varies the first pair slowest, so the slices, in order, are the unit
-    from semap.transforms import (
-        _BaseSymmetry, _combo_units, _feasible_gluings, _gluings, _run_unit, _without,
-    )
+    from semap.transforms import _combo_units, _run_unit, _without
 
-    combo, unit = next(_combo_units([k1], T45, -8, "quad"))
-    _, faces, n, pairing = unit
-    moves = _BaseSymmetry([k1], combo).admit(pairing, "quad")
-    feasible = [[_gluings("quad").index(g) for g in ok] for ok in _feasible_gluings(unit, "quad")]
-    kept = _without(faces, [f for pair in pairing for f in pair])
+    multiset, pairing = next(_combo_units([k1], T45, -8, "quad"))
+    n = multiset.n
+    moves = multiset.admit(pairing, "quad")
+    feasible = multiset.screen(pairing, "quad")
+    kept = _without(multiset.faces, [f for pair in pairing for f in pair])
     whole = _run_unit(kept, pairing, moves, feasible, n, "quad")
     parts = [_run_unit(kept, pairing, moves, [[g]] + feasible[1:], n, "quad")
              for g in feasible[0]]
@@ -419,17 +417,19 @@ def test_search_pool_has_no_more_workers_than_units(k1, monkeypatch):
 ])
 def test_screen_accepts_exactly_the_valid_gluings(request, names, combo, kind, target, chi):
     # the first unit of the base multiset ``combo``; validate shares no code with the screen
-    from semap.transforms import _apply_bundle, _combo_units, _feasible_gluings, _gluings
+    from semap.transforms import _apply_bundle, _combo_units, _gluings
 
     bases = [request.getfixturevalue(name) for name in names]
-    unit = next(u for c, u in _combo_units(bases, target, chi, kind) if c == combo)
-    _, faces, n, pairing = unit
-    feasible = _feasible_gluings(unit, kind)
+    multiset, pairing = next(u for u in _combo_units(bases, target, chi, kind)
+                             if u[0].combo == combo)
+    faces, n = multiset.faces, multiset.n
+    feasible = multiset.screen(pairing, kind)
+    gluings = _gluings(kind)
     accepted = 0
-    for choice in product(_gluings(kind), repeat=len(pairing)):
+    for choice in product(gluings, repeat=len(pairing)):
         specs = [CylinderSpec(kind=kind, face_a=a, face_b=b, offset=o, reflect=r)
                  for (a, b), (o, r) in zip(pairing, choice)]
-        screened = all(g in ok for g, ok in zip(choice, feasible))
+        screened = all(gluings.index(g) in ok for g, ok in zip(choice, feasible))
         valid = validate(PolyhedralMap(_apply_bundle(faces, specs), n=n)).ok
         assert screened == valid, specs
         accepted += screened
@@ -450,8 +450,10 @@ def test_flag_template_equals_closed_flags(request, names, combo, kind, target, 
     from semap.transforms import _apply_bundle, _combo_units, _gluings, _without
 
     bases = [request.getfixturevalue(name) for name in names]
-    _, faces, n, pairing = next(u for c, u in _combo_units(bases, target, chi, kind) if c == combo)
-    kept = _without(faces, [f for pair in pairing for f in pair])
+    multiset, pairing = next(u for u in _combo_units(bases, target, chi, kind)
+                             if u[0].combo == combo)
+    n = multiset.n
+    kept = _without(multiset.faces, [f for pair in pairing for f in pair])
     size, per_pair = (4, 4) if kind == "quad" else (3, 6)
     template = FlagTemplate(kept, n, [size] * (len(pairing) * per_pair))
     closed = 0
@@ -490,7 +492,8 @@ def _unreduced_forms(bases, target, chi, kind, max_candidates):
     from semap.transforms import _apply_bundle, _combo_units, _gluings
 
     forms, built, spent = set(), 0, 0
-    for _, (_, faces, n, pairing) in _combo_units(bases, target, chi, kind):
+    for multiset, pairing in _combo_units(bases, target, chi, kind):
+        faces, n = multiset.faces, multiset.n
         spent += len(_gluings(kind)) ** len(pairing)
         if spent > max_candidates:
             break
@@ -523,11 +526,18 @@ def test_search_refuses_an_invalid_base(k1):
     with pytest.raises(TransformError, match="base #0 is not a valid map: \\[connectivity\\]"):
         cylinder_search([both], T45, -8, max_candidates=1024)
     # [K1] reaches the same faces and every pairing that joins the two copies
-    via_k1 = [u for c, u in _combo_units([k1], T45, -8, "quad") if c == (0, 0)]
-    via_both = [u for _, u in _combo_units([both], T45, -8, "quad")]
-    assert {u[1] for u in via_k1 + via_both} == {both.faces}
-    joined = {u[3] for u in via_both if any((a[0] < 12) != (b[0] < 12) for a, b in u[3])}
-    assert {u[3] for u in via_k1} == joined
+    via_k1 = [u for u in _combo_units([k1], T45, -8, "quad") if u[0].combo == (0, 0)]
+    via_both = list(_combo_units([both], T45, -8, "quad"))
+    assert {multiset.faces for multiset, _ in via_k1 + via_both} == {both.faces}
+    joined = {p for _, p in via_both if any((a[0] < 12) != (b[0] < 12) for a, b in p)}
+    assert {p for _, p in via_k1} == joined
+
+
+def test_units_of_one_base_multiset_share_one_multiset(k1, k3):
+    from semap.transforms import _combo_units
+
+    units = list(_combo_units([k1, k3], T45, -8, "quad"))
+    assert len({id(ms) for ms, _ in units}) == len({ms.combo for ms, _ in units}) > 1
 
 
 def test_provenance_replays_to_the_same_map(k1, k2):
