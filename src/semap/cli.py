@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import census, transforms
 from .catalog import CatalogError, catalog, catalog_map
@@ -54,16 +55,6 @@ def _emit(payload: dict, fmt: str, text: str) -> None:
         print(json.dumps(payload, indent=2))
     else:
         print(text)
-
-
-def _spec_to_json(spec: transforms.CylinderSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "face_a": list(spec.face_a),
-        "face_b": list(spec.face_b),
-        "offset": spec.offset,
-        "reflect": spec.reflect,
-    }
 
 
 def cmd_validate(args) -> int:
@@ -223,7 +214,7 @@ def cmd_cylinder(args) -> int:
     provenance = {
         "operation": "add_cylinder",
         "bases": [m1.name] + ([m2.name] if m2 else []),
-        "spec": _spec_to_json(spec),
+        "spec": asdict(spec),
     }
     _emit_map(out, args.format, provenance)
     return 0
@@ -234,8 +225,7 @@ def cmd_cylinder_search(args) -> int:
     bases = [_map_arg(tok) for tok in args.bases.split(",")]
     maps, notes, stats = transforms.cylinder_search(
         bases, seq, args.chi, max_candidates=args.max_candidates, jobs=args.jobs)
-    provenance = [{"bases": list(note.bases), "specs": [_spec_to_json(s) for s in note.specs]}
-                  for note in notes]
+    provenance = [asdict(note) for note in notes]
     _emit_search(maps, stats, args.format, provenance)
     return 0
 

@@ -74,19 +74,22 @@ class PolyhedralMap:
     Faces are undirected cycles: any rotation or reflection of the stored
     sequence denotes the same face.  The stored sequences are kept verbatim
     (catalog data stays recognisable); equality and hashing use the
-    normalised face set.  Construction performs only structural coercion --
-    run :func:`validate` to check the closed-surface axioms.
+    normalised face set.  Construction coerces labels to ``int`` and raises
+    :class:`ValueError` at the first face with a label outside ``0..n-1``
+    (``n`` defaults to one more than the largest label), so every consumer
+    may read labels as vertices; it checks nothing else -- run
+    :func:`validate` for the closed-surface axioms.
     """
 
     def __init__(self, faces, n: int | None = None, name: str = ""):
         fs = tuple(tuple(int(v) for v in face) for face in faces)
-        for face in fs:
-            for v in face:
-                if v < 0:
-                    raise ValueError(f"negative vertex label {v} in face {face}")
         if n is None:
             n = 1 + max((max(face) for face in fs if face), default=-1)
-        self.n = int(n)
+        self.n = n = int(n)
+        for i, face in enumerate(fs):
+            for v in face:
+                if not 0 <= v < n:
+                    raise ValueError(f"face #{i} {face} has a label outside 0..{n - 1}")
         self.faces = fs
         self.name = name
 
@@ -99,8 +102,7 @@ class PolyhedralMap:
         acc: dict[int, list[int]] = {v: [] for v in range(self.n)}
         for i, face in enumerate(self.faces):
             for v in set(face):
-                if v < self.n:
-                    acc[v].append(i)
+                acc[v].append(i)
         return {v: tuple(ix) for v, ix in acc.items()}
 
     @cached_property
@@ -108,9 +110,8 @@ class PolyhedralMap:
         acc: dict[int, set[int]] = {v: set() for v in range(self.n)}
         for face in self.faces:
             for a, b in zip(face, face[1:] + face[:1]):
-                if a < self.n and b < self.n:
-                    acc[a].add(b)
-                    acc[b].add(a)
+                acc[a].add(b)
+                acc[b].add(a)
         return {v: frozenset(s) for v, s in acc.items()}
 
     def degree(self, v: int) -> int:
@@ -162,7 +163,8 @@ class FlagTemplate:
     ``a`` if it lies in one face, else minus the number of faces it lies in.
 
     The constructor raises :class:`ValueError` only at the first face that
-    is not a polygon on ``0..n-1``, so it serves maps that are not closed;
+    is not a polygon on ``0..n-1``, so it serves maps that are not closed.
+    It checks that bound itself because it also takes raw faces and walls;
     labels are non-negative, as :class:`PolyhedralMap` makes them.
     ``fill(walls)`` pairs the wall flags and checks the whole map is
     closed; the template is left as it was, for the next walls.
@@ -395,7 +397,8 @@ class VertexLink:
         The tokens walk once round the link: a bracket of k >= 3 labels is
         one corner, starting where the walk stands, a plain label the far end
         of a triangle corner (or, first, the start), and the walk closes back
-        to its start.  A bad token raises ``ValueError`` naming it.
+        to its start.  A bad token raises ``ValueError`` naming it, and so
+        does a walk of fewer than three corners.
         """
         m = re.fullmatch(r"\s*C_?\d*\s*\((.*)\)\s*", text)
         start = at = None
@@ -415,8 +418,8 @@ class VertexLink:
             at = labels[-1]
         if at != start:
             corners.append((at, start))
-        if not corners:
-            raise ValueError(f"link {text!r} has no corners")
+        if len(corners) < 3:
+            raise ValueError(f"link {text!r} has {len(corners) or 'no'} corners, need >= 3")
         return cls.from_corners(center, corners)
 
     @property
@@ -520,15 +523,9 @@ def semi_equivelar_type(m: PolyhedralMap) -> FaceSequence | None:
 
 
 def is_d_covered(m: PolyhedralMap, d: int) -> bool:
-    """Whether every edge of a triangulation meets a vertex of degree ``d``.
-    Raises :class:`ValueError` at the first face with a label outside
-    ``0..n-1``, whose edges ``m.neighbors`` leaves out."""
+    """Whether every edge of a triangulation meets a vertex of degree ``d``."""
     if any(len(f) != 3 for f in m.faces):
         raise NotTriangulationError("d-covered is defined for triangulations only")
-    for i, face in enumerate(m.faces):
-        if max(face) >= m.n:
-            raise ValueError(f"not a closed map: face #{i} {face} is not a polygon "
-                             f"on vertices 0..{m.n - 1}")
     around = m.neighbors
     return all(len(around[a]) == d or len(around[b]) == d for a in around for b in around[a])
 
@@ -585,22 +582,12 @@ def validate(m: PolyhedralMap) -> ValidationReport:
 
     wellformed: list[tuple[int, Face]] = []
     for i, face in enumerate(m.faces):
-        bad = False
-        if len(face) < 3:
+        short, repeats = len(face) < 3, len(set(face)) != len(face)
+        if short:
             out.append(Violation("face-size", f"face #{i} {face} has fewer than 3 vertices", (i,)))
-            bad = True
-        if len(set(face)) != len(face):
+        if repeats:
             out.append(Violation("face-repeat", f"face #{i} {face} repeats a vertex", (i,)))
-            bad = True
-        undeclared = [v for v in face if v >= m.n]
-        if undeclared:
-            out.append(Violation(
-                "undeclared-vertex",
-                f"face #{i} {face} references vertices {undeclared} >= n={m.n}",
-                (i, tuple(undeclared)),
-            ))
-            bad = True
-        if not bad:
+        if not (short or repeats):
             wellformed.append((i, face))
 
     seen: dict[Face, int] = {}

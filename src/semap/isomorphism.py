@@ -391,16 +391,11 @@ def automorphism_group(m: PolyhedralMap) -> AutomorphismGroup:
     for v in range(m.n):
         orbits.setdefault(label[v], []).append(v)
     gens: list[tuple[int, ...]] = []
-    have = 1
+    group = _closure(gens, m.n)
     for g in elements:
-        if g == tuple(range(m.n)):
-            continue
-        if have == len(elements):
-            break
-        trial = _closure(gens + [g], m.n)
-        if len(trial) > have:
+        if g not in group:  # the closure grows exactly when g lies outside it
             gens.append(g)
-            have = len(trial)
+            group = _closure(gens, m.n)
     return AutomorphismGroup(
         elements=tuple(elements),
         generators=tuple(gens),

@@ -129,13 +129,10 @@ def stack_faces(m: PolyhedralMap) -> PolyhedralMap:
     """Subdivide every face by a barycenter joined to all its vertices.
 
     Each p-gon becomes p triangles; chi is preserved and the result is a
-    triangulation on V + F vertices.  Raises :class:`TransformError` for a
-    face label outside ``0..n-1``, which would merge with a barycenter.
+    triangulation on V + F vertices.
     """
     faces: list[Face] = []
     for fi, face in enumerate(m.faces):
-        if any(v >= m.n for v in face):
-            raise TransformError(f"face #{fi} {face} has a label outside 0..{m.n - 1}")
         bary = m.n + fi
         k = len(face)
         for i in range(k):

@@ -60,6 +60,29 @@ def test_aut_json(capsys):
     assert payload["vertex_transitive"] is True
 
 
+# sha256 of `aut <name> --format json`: order, orbits and the generator
+# list itself are pinned byte for byte.
+AUT_OUTPUT_PINS = [
+    ("tetrahedron", "cdb506e8c36cbdf428cbc8a458342576ab1d9f865795e87499e8c52165b2b065"),
+    ("cube", "507dea9cb5d7e93b68fd310bee30915ce8468c56e3938ac9445fff075af9ed68"),
+    ("rp2_6", "ca0738d9b27622ed90bfea023bdfb849cf9fe47c5511f07d98086c47c8eb6872"),
+    ("K1", "89be9f15135e85a451b99b35d1c5dfbc43a7de60f54714d392dc7127d9637786"),
+    ("K2", "ea2d7662922ef642ba8884cceb8887b6552e7494b3839f1cb9ed3393cc09716d"),
+    ("K3", "37210cd90e0a778ad25d028692e266b902144d763af2d6225189dfe44e76d209"),
+    ("T1", "4bea788ad9a4645ae80a3c1711eb3ed620601709dd400256b1cb97bdd4eb3c38"),
+    ("T2", "a5392508b1eb54a60127b2d1b88bbe1f453fc04fbfdef5cb56979a992a5abbcb"),
+    ("T3", "13b73121565005df33bc8b2e3fcf4648382a17ffb9869118b83dfb7936d93f0c"),
+    ("N", "6c5f2d4325ecc602e3aed380cd482cfc0625a7ba0469ab5926712f4cd407f95d"),
+]
+
+
+@pytest.mark.parametrize("name, digest", AUT_OUTPUT_PINS, ids=[n for n, _ in AUT_OUTPUT_PINS])
+def test_aut_output_is_pinned(capsys, name, digest):
+    code, out, _ = run(capsys, "aut", name, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gt_counts(capsys):
     code, out, _ = run(capsys, "gt", "K1", "--t", "2", "--format", "json")
     assert code == 0

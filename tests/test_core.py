@@ -84,19 +84,6 @@ def test_empty_map_is_invalid():
     assert "empty" in report.axioms()
 
 
-def test_faces_on_no_declared_vertex_are_not_an_empty_map():
-    report = validate(PolyhedralMap([(0, 1, 2)], n=0))
-    assert [(v.axiom, v.message, v.witness) for v in report] == [
-        ("undeclared-vertex", "face #0 (0, 1, 2) references vertices [0, 1, 2] >= n=0",
-         (0, (0, 1, 2))),
-    ]
-
-
-def test_undeclared_vertex_is_reported():
-    m = PolyhedralMap([(0, 1, 5)], n=3)
-    assert "undeclared-vertex" in validate(m).axioms()
-
-
 def test_two_faces_sharing_two_nonadjacent_vertices_rejected():
     # two quadrangles agreeing on a diagonal pair only
     m = PolyhedralMap([(0, 1, 2, 3), (0, 4, 2, 5)], n=6)
@@ -176,8 +163,8 @@ TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     # "chi=1 (non-orientable), V=4 E=7 F=4"
     (TETRA[:3] + [(1, 2, 1)], 4,
      "not a closed map: face #3 (1, 2, 1) is not a polygon on vertices 0..3"),
-    (TETRA[:2] + [(0, 2, 4), (1, 2, 3)], 4,
-     "not a closed map: face #2 (0, 2, 4) is not a polygon on vertices 0..3"),
+    # a label outside 0..n-1 is refused before any of the three can run
+    (TETRA[:2] + [(0, 2, 4), (1, 2, 3)], 4, "face #2 (0, 2, 4) has a label outside 0..3"),
     (TETRA[:3], 4, "not a closed map: edge (1, 2) lies in 1 face(s)"),
     (TETRA + [(2, 3, 4)], 5, "not a closed map: edge (2, 3) lies in 3 face(s)"),
     # both defects at once: the edge listed first is named, whatever its count
@@ -187,11 +174,32 @@ TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
         "1-face-edge-before-3-face-edge", "3-face-edge-before-1-face-edge"])
 def test_one_check_refuses_maps_that_are_not_closed(faces, n, message):
     # the first bad face, else the first bad edge in the order the faces list them
-    m = PolyhedralMap(faces, n=n)
     for fn in (canonical_form, is_orientable, surface_profile):
         with pytest.raises(ValueError) as info:
-            fn(m)
+            fn(PolyhedralMap(faces, n=n))
         assert str(info.value) == message, fn.__name__
+
+
+OCTA = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4)]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PolyhedralMap([(0, 1, 2)], n=0), "face #0 (0, 1, 2) has a label outside 0..-1"),
+    (lambda: PolyhedralMap([(0, 1, 5)], n=3), "face #0 (0, 1, 5) has a label outside 0..2"),
+    # label 5 would merge with the barycenter of face #1 in a stacking on n=4
+    (lambda: PolyhedralMap(TETRA[:3] + [(1, 2, 5)], n=4),
+     "face #3 (1, 2, 5) has a label outside 0..3"),
+    # unchecked, this one had link C4(0, 2, 5, 4) at vertex 1 and type (3^4)
+    (lambda: PolyhedralMap(OCTA, n=5), "face #4 (5, 2, 1) has a label outside 0..4"),
+    (lambda: PolyhedralMap(TETRA, n=4).relabel([0, 1, 2, 4]),
+     "face #1 (0, 1, 4) has a label outside 0..3"),
+    (lambda: PolyhedralMap([(0, -1, 2)]), "face #0 (0, -1, 2) has a label outside 0..2"),
+], ids=["no-declared-vertex", "undeclared-vertex", "would-merge-with-a-barycenter",
+        "octahedron-on-5", "relabel", "negative"])
+def test_a_map_refuses_labels_outside_its_vertex_range(make, message):
+    # every consumer of a PolyhedralMap may read its labels as 0..n-1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def test_flag_moves_are_involutions_with_one_orbit_per_vertex(all_catalog):
@@ -253,6 +261,8 @@ def test_link_notation_reads_what_it_writes(all_catalog, k1_quad):
     ("C7([2, 3, 4, 5)", "'[2'"),
     ("C7(1, 2,, 3)", "''"),
     ("C1(5)", "no corners"),
+    # two triangles on the same three vertices are one face, not a link
+    ("C2(5, 6)", "link 'C2(5, 6)' has 2 corners, need >= 3"),
 ])
 def test_link_notation_names_the_bad_token(text, bad):
     with pytest.raises(ValueError, match=re.escape(bad)):
@@ -364,12 +374,12 @@ def test_d_covered_refuses_non_triangulations(cube):
 
 
 def test_d_covered_refuses_labels_outside_the_vertex_range(tetrahedron):
-    # ``neighbors`` leaves out the edges to label 4, so any verdict would
-    # be about some other map
+    # the map is refused where it is made, so no verdict is given about
+    # a face list whose edges to label 4 no consumer would see
     faces = list(tetrahedron.faces)
     faces[2] = (faces[2][0], faces[2][1], 4)
     with pytest.raises(ValueError, match=re.escape(
-            f"not a closed map: face #2 {faces[2]} is not a polygon on vertices 0..3")):
+            f"face #2 {faces[2]} has a label outside 0..3")):
         is_d_covered(PolyhedralMap(faces, n=4), 3)
 
 

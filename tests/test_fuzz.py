@@ -58,7 +58,9 @@ def mutated_maps(draw, min_mutations=1):
             face[a] = base.n + draw(st.integers(0, 3))
         elif kind == "repeat":
             face[a] = face[b]
-    return PolyhedralMap([tuple(f) for f in faces], n=base.n)
+    # an out-of-range label adds vertices past the base, so the map can be made
+    n = max(base.n, 1 + max(max(f) for f in faces))
+    return PolyhedralMap([tuple(f) for f in faces], n=n)
 
 
 def duplicated_twice(name: str, index: int) -> PolyhedralMap:

@@ -126,13 +126,6 @@ def test_stack_counts_and_chi(k1, cube):
         assert validate(stacked).ok
 
 
-def test_stack_refuses_a_label_that_would_merge_with_a_barycenter():
-    # vertex 5 is the barycenter of face #1 of a stacking on n=4
-    m = PolyhedralMap([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 5)], n=4)
-    with pytest.raises(TransformError, match=r"face #3 \(1, 2, 5\) has a label outside 0\.\.3"):
-        stack_faces(m)
-
-
 def test_stacked_k1_original_vertices_have_degree_12(k1):
     stacked = stack_faces(k1)
     for v in range(k1.n):
