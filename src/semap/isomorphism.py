@@ -17,9 +17,11 @@ which also checks the map is closed.  The root filter keys each face size
 and vertex once, and the walk from each root stops at its first step worse
 than the best code so far.
 
-Both searches hand their maps to one :class:`ClassSink`, which asks for a
-cheap relabeling invariant first, :func:`class_key`, and a canonical form
-only when a key is seen again: a new key is a new class.
+The census and the triangle cylinder search hand their maps to one
+:class:`ClassSink`, which asks for a cheap relabeling invariant first,
+:func:`class_key`, and a canonical form only when a key is seen again: a
+new key is a new class.  The quadrangle cylinder search needs no sink:
+each of its gluings is proved a new class.
 
 The canonical data of a map (form, relabeled faces, one labeling per
 minimal root) is computed at most once per :class:`PolyhedralMap` object

@@ -130,9 +130,9 @@ def map_from_json(obj) -> PolyhedralMap:
             raise MapFormatError("JSON 'vertices' must be the labels 0..n-1")
         faces = [_int_labels(f, f"face #{i}") for i, f in enumerate(faces)]
         for i, face in enumerate(faces):
-            if any(v >= len(vertices) for v in face):
-                raise MapFormatError(f"JSON face #{i} {list(face)} has a vertex that exceeds "
-                                     f"declared count vertices={len(vertices)}")
+            if any(v < 0 or v >= len(vertices) for v in face):
+                raise MapFormatError(f"JSON face #{i} {list(face)} has a vertex that is negative "
+                                     f"or exceeds declared count vertices={len(vertices)}")
         return PolyhedralMap(faces, n=len(vertices), name=str(name))
     except TypeError as exc:
         raise MapFormatError(f"JSON map has a field of the wrong type: {exc}") from exc

@@ -28,7 +28,7 @@ from .core import (
     surface_profile,
     validate,
 )
-from .isomorphism import ClassSink, automorphism_group, class_key
+from .isomorphism import ClassSink, automorphism_group, canonical_form, class_key
 
 
 class TransformError(ValueError):
@@ -350,6 +350,33 @@ class _Multiset:
     so can a gluing that a symmetry fixing its pairing maps onto an earlier
     gluing of the same unit (orderly generation: B. D. McKay, J. Algorithms
     26, 1998).
+
+    On the quad kind the converse holds too: distinct orbit-least gluings
+    are non-isomorphic, so every one is a new class.  Assume the bases are
+    valid, pairwise non-isomorphic (``cylinder_search`` merges bases with
+    equal canonical forms) and of a type with one quadrangle at each
+    vertex (m4 = 1, which :meth:`screen` shows every quad unit forces).
+    Let ``f`` be an isomorphism from a result R of a unit of multiset M
+    onto a result R' of a unit of M'.
+
+    - A unit consumes every quadrangle of the union, so the quadrangles of
+      a result are exactly its walls and its triangles are the union's.
+    - ``f`` keeps face sizes, so it maps the triangles of R onto those of
+      R', and the edges in exactly one triangle onto those of R'.  Those
+      are the site edges (a site's neighbour across an edge is a triangle:
+      every quadrangle is a site and sites are disjoint); they form the
+      boundary 4-cycles, one per site.  Capping the cycles, ``f`` is an
+      isomorphism of M's union onto M''s.
+    - It maps each copy onto a copy of an isomorphic base, so M = M' (the
+      bases are pairwise non-isomorphic), and ``f`` is an automorphism on
+      each copy followed by a permutation of the copies of one base: one
+      of :attr:`elements`.
+    - ``f`` maps walls onto walls, hence the pairing of R onto that of R'.
+      :meth:`admit` admits one unit per orbit of pairings, so both units
+      are one, and ``f`` fixes its pairing.  The walls of a pair fix its
+      gluing, so ``f`` maps the choice of R onto that of R' by a move of
+      the unit's stabiliser (or the identity).  Both choices are the least
+      of that orbit (:func:`_orbit_least`), so they are equal: R = R'.
     """
 
     def __init__(self, base_maps, combo):
@@ -540,9 +567,11 @@ def _orbit_least(choice: tuple, moves) -> bool:
     return True
 
 
-def _run_unit(kept, pairing, moves, feasible, n: int, kind: str) -> tuple[int, list]:
-    """Build the orbit-least gluings of one slice of a unit: how many, and
-    the class key and gluing choice of each.
+def _run_unit(kept, pairing, moves, feasible, n: int, kind: str) -> list[tuple]:
+    """The orbit-least gluings of one slice of a unit, each as ``(key,
+    choice)``: its gluing choice, with its :func:`class_key` on the triangle
+    kind and None on the quad kind, whose gluings are each a new class
+    (:class:`_Multiset`).
 
     ``kept`` is what the unit's bases keep once its sites are removed.  A
     slice fixes the gluing of the first site pair: ``feasible`` lists the
@@ -550,22 +579,21 @@ def _run_unit(kept, pairing, moves, feasible, n: int, kind: str) -> tuple[int, l
     (:meth:`_Multiset.screen`), which makes every combination a valid map
     of the target type.  Only those that no symmetry in ``moves`` maps onto
     an earlier one are constructed: one :class:`FlagTemplate` of ``kept``
-    per slice, filled with each gluing's walls (which checks the gluing is
-    closed), whose neighbour sets give its :func:`class_key`.  No spec, no
-    map object and no canonical form is made per gluing.
+    per slice, filled with each gluing's walls, which checks the gluing is
+    closed and gives the neighbour sets the key reads.  No spec, no map
+    object and no canonical form is made per gluing.
     """
     gluings = _gluings(kind)
     template = FlagTemplate(kept, n, [len(w) for a, b in pairing
                                       for w in _wall_faces(a, b, 0, False)])
     found = []
-    built = 0
     for choice in product(*feasible):
         if not _orbit_least(choice, moves):
             continue
-        built += 1
         walls = [w for (a, b), g in zip(pairing, choice) for w in _wall_faces(a, b, *gluings[g])]
-        found.append((class_key(template.fill(walls)[1]), choice))
-    return built, found
+        neighbours = template.fill(walls)[1]
+        found.append((class_key(neighbours) if kind == "tri" else None, choice))
+    return found
 
 
 def cylinder_search(
@@ -581,22 +609,25 @@ def cylinder_search(
     forced by (type, chi) and enumerates admissible cylinder bundles:
     every quadrangle consumed when the target gains one quadrangle per
     vertex, or a perfect matching of vertex-disjoint triangles consuming
-    every vertex once when it gains two triangles.  Symmetries of the
-    bases (automorphisms of each copy, swaps of copies of one base) skip
-    every bundle and every gluing they map onto an earlier one
-    (:class:`_Multiset`); each remaining gluing that passes the
-    per-cylinder screen is applied and handed, with the :func:`class_key`
-    its slice computed, to a :class:`ClassSink`, which keeps one
-    representative per isomorphism class.  The first gluing to reach a
-    class is never skipped, so the result list and its provenance are
-    those of the unreduced search.
+    every vertex once when it gains two triangles.  Bases with equal
+    canonical forms are merged up front, keeping the first.  Symmetries of
+    the bases (automorphisms of each copy, swaps of copies of one base)
+    skip every bundle and every gluing they map onto an earlier one
+    (:class:`_Multiset`), and each remaining gluing that passes the
+    per-cylinder screen is applied.  On the quad kind every such gluing is
+    a new class, proved in :class:`_Multiset`, so each is a result, with no
+    class key and no canonical form.  On the triangle kind each is handed,
+    with the :func:`class_key` its slice computed, to a :class:`ClassSink`,
+    which keeps one representative per isomorphism class.  The first
+    gluing to reach a class is never skipped, so the result list and its
+    provenance are those of the unreduced search.
 
     Every built gluing is a valid map of the target type, with chi fixed
     by the vertex count: the bases are validated once, up front, and the
     screen is proved sufficient for valid bases in
-    :meth:`_Multiset.screen`.  So ``stats.valid`` equals ``stats.built``.
-    An invalid base, or bases of different types, raise
-    :class:`TransformError`.
+    :meth:`_Multiset.screen`.  So ``stats.valid`` equals ``stats.built``,
+    and on the quad kind so does ``stats.classes``.  An invalid base, or
+    bases of different types, raise :class:`TransformError`.
 
     ``max_candidates`` truncates the deterministic candidate stream (at
     work-unit granularity, skipped bundles included); ``stats.exhausted``
@@ -604,9 +635,9 @@ def cylinder_search(
     ``ValueError``.  Each admitted unit is split into slices, one per
     screened gluing of its first site pair, which concatenated in order
     give the unit's gluings in order.  ``jobs > 1`` spreads the slices over
-    ``min(jobs, units)`` processes and de-duplicates their results as they
-    arrive; the result list does not depend on ``jobs``, and ``jobs < 1``
-    raises ``ValueError``.
+    ``min(jobs, units)`` processes and takes their results in slice order;
+    the result list does not depend on ``jobs``, and ``jobs < 1`` raises
+    ``ValueError``.
     """
     if max_candidates is not None and max_candidates < 0:
         raise ValueError(f"max_candidates must be non-negative, got {max_candidates}")
@@ -614,7 +645,7 @@ def cylinder_search(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
     stats = CylinderSearchStats()
-    sink = ClassSink()
+    maps: list[PolyhedralMap] = []
     notes: list[CylinderProvenance] = []
 
     for i, b in enumerate(base_maps):
@@ -627,7 +658,7 @@ def cylinder_search(
         target_n = sem_vertex_count(target_type, target_chi)
     except (ImpossibleTypeError, FlatTypeError):
         stats.seconds = time.perf_counter() - t0
-        return sink.maps, notes, stats
+        return maps, notes, stats
 
     base_types = {semi_equivelar_type(b) for b in base_maps}
     if len(base_types) != 1 or None in base_types:
@@ -635,7 +666,14 @@ def cylinder_search(
     kind = _infer_kind(base_types.pop(), target_type)
     if kind is None:
         stats.seconds = time.perf_counter() - t0
-        return sink.maps, notes, stats
+        return maps, notes, stats
+
+    # the first base of each isomorphism class (the quad proof in _Multiset needs
+    # no two isomorphic); the forms stay on the bases, for their symmetry groups
+    firsts: dict[bytes, PolyhedralMap] = {}
+    for b in base_maps:
+        firsts.setdefault(canonical_form(b), b)
+    base_maps = list(firsts.values())
 
     gluings = _gluings(kind)
     admitted = 0
@@ -659,6 +697,7 @@ def cylinder_search(
 
     run = partial(_run_unit, n=target_n, kind=kind)
     work = [[s[i] for s in slices] for i in range(1, 5)]  # what a worker receives
+    sink = ClassSink()  # triangle kind only: a quad gluing comes with no key
     with ExitStack() as stack:
         spread = map
         if jobs > 1 and admitted > 1:
@@ -666,16 +705,17 @@ def cylinder_search(
 
             pool = cf.ProcessPoolExecutor(max_workers=min(jobs, admitted))
             spread = stack.enter_context(pool).map
-        for (multiset, _, pairing, _, _), (built, found) in zip(slices, spread(run, *work)):
-            stats.built += built  # slices arrive in order
-            stats.valid += len(found)
+        for (multiset, _, pairing, _, _), found in zip(slices, spread(run, *work)):
+            stats.built += len(found)  # slices arrive in order
             for key, choice in found:
                 specs = tuple(CylinderSpec(kind, a, b, *gluings[g])
                               for (a, b), g in zip(pairing, choice))
-                name = "+".join(multiset.names) + f"#{len(sink.maps) + 1}"
-                glued = _apply_bundle(multiset.faces, specs)
-                if sink.add(PolyhedralMap(glued, n=multiset.n, name=name), key):
+                name = "+".join(multiset.names) + f"#{len(maps) + 1}"
+                m = PolyhedralMap(_apply_bundle(multiset.faces, specs), n=multiset.n, name=name)
+                if key is None or sink.add(m, key):
+                    maps.append(m)
                     notes.append(CylinderProvenance(bases=multiset.names, specs=specs))
-    stats.classes = len(sink.maps)
+    stats.valid = stats.built
+    stats.classes = len(maps)
     stats.seconds = time.perf_counter() - t0
-    return sink.maps, notes, stats
+    return maps, notes, stats

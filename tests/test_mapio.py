@@ -123,6 +123,8 @@ def test_json_mirror_validates_shape():
         map_from_json({"name": "x", "vertices": [0, 1, 2], "faces": [[0, 1, None]]})
     with pytest.raises(MapFormatError, match="exceeds declared"):
         map_from_json({"name": "k", "vertices": [0, 1, 2], "faces": [[0, 5, 1]]})
+    with pytest.raises(MapFormatError, match=r"face #0 \[0, -1, 2\] has a vertex that is negative"):
+        map_from_json({"name": "x", "vertices": [0, 1, 2], "faces": [[0, -1, 2]]})
     # labels that compare or coerce as integers are not integers
     tetra = [[0, 1, 2], [0, 3, 1], [1, 3, 2], [0, 2, 3]]
     for bad in ([[0, 1.9, 2], [0, "3", 1], [True, 2, 3], [0, 2, 3]],

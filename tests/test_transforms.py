@@ -296,9 +296,10 @@ def test_flags_are_built_once_per_slice(k1, monkeypatch):
 
     core, transforms = sys.modules["semap.core"], sys.modules["semap.transforms"]
     iso = sys.modules["semap.isomorphism"]
-    passes, maps, forms, keys, per_slice = [0], [0], [], [], []
+    passes, maps, forms, keys, adds, per_slice = [0], [0], [], [], [0], []
     template_init, init = core.FlagTemplate.__init__, PolyhedralMap.__init__
     run_unit, compute, key = transforms._run_unit, iso._compute_canonical, transforms.class_key
+    add = iso.ClassSink.add
 
     def counting_template(*args, **kwargs):
         passes[0] += 1
@@ -316,24 +317,42 @@ def test_flags_are_built_once_per_slice(k1, monkeypatch):
         keys.append(key(neighbours))
         return keys[-1]
 
+    def counting_add(self, *args):
+        adds[0] += 1
+        return add(self, *args)
+
     def counting_unit(*args, **kwargs):
-        before = passes[0], maps[0], len(forms)
+        before = passes[0], maps[0], len(forms), len(keys)
         out = run_unit(*args, **kwargs)
         per_slice.append((passes[0] - before[0], maps[0] - before[1], len(forms) - before[2],
-                          out[0]))
+                          len(keys) - before[3], len(out)))
         return out
 
     monkeypatch.setattr(core.FlagTemplate, "__init__", counting_template)
     monkeypatch.setattr(PolyhedralMap, "__init__", counting_init)
     monkeypatch.setattr(iso, "_compute_canonical", counting_compute)
     monkeypatch.setattr(transforms, "class_key", recording_key)
+    monkeypatch.setattr(iso.ClassSink, "add", counting_add)
     monkeypatch.setattr(transforms, "_run_unit", counting_unit)
-    base = k1.relabel(list(range(k1.n)))  # a fresh map: its form is computed once, for its group
+    # quad: one template per slice and nothing else per gluing, no key, no sink, no form;
+    # a fresh base, whose form is computed once, for the merge and its group
+    base = k1.relabel(list(range(k1.n)))
     _, _, stats = cylinder_search([base], T45, -8)
-    assert stats.built == sum(built for *_, built in per_slice) == len(keys) == 482
+    assert stats.built == stats.classes == sum(built for *_, built in per_slice) == 482
     assert len(per_slice) < stats.built
-    assert {(p, m, f) for p, m, f, _ in per_slice} == {(1, 0, 0)}
-    # forms only where a key is shared: every gluing with that key, once each
+    assert {(p, m, f, k) for p, m, f, k, _ in per_slice} == {(1, 0, 0, 0)}
+    assert keys == [] and adds == [0]
+    assert len(forms) == 1 and forms[0] is base
+    # triangle: one template and one key per gluing per slice, and forms only
+    # where a key is shared: every gluing with that key, once each
+    per_slice.clear()
+    forms.clear()
+    base = k1.relabel(list(range(k1.n)))
+    _, _, stats = cylinder_search([base], T37, -10, max_candidates=2592)
+    assert stats.built == sum(built for *_, built in per_slice) == len(keys) == adds[0] == 1472
+    assert len(per_slice) < stats.built
+    assert {(p, m, f) for p, m, f, _, _ in per_slice} == {(1, 0, 0)}
+    assert all(k == built for *_, k, built in per_slice)
     counts = Counter(keys)
     shared = {k for k, c in counts.items() if c > 1}
     assert forms[0] is base
@@ -351,14 +370,63 @@ def test_flags_are_built_once_per_slice(k1, monkeypatch):
     assert passes[0] - before == 3
 
 
-def test_key_collisions_fall_back_on_canonical_forms(k1, k1_quad, monkeypatch):
-    # one key for every gluing: each is told apart by its canonical form alone
+@pytest.fixture(scope="module")
+def k1_tri(k1):
+    """Results and provenance of the (3^7,4) chi=-10 search on K1 at 2592
+    candidates: 1472 classes, no two sharing a class key."""
+    maps, notes, stats = cylinder_search([k1], T37, -10, max_candidates=2592)
+    assert stats.classes == len(maps) == 1472
+    return maps, notes
+
+
+def test_key_collisions_fall_back_on_canonical_forms(k1, k1_tri, monkeypatch):
+    # one key for every gluing: each is told apart by its canonical form alone, which is
+    # computed once for every gluing (the triangle kind is the one whose gluings are keyed)
     import sys
 
+    iso = sys.modules["semap.isomorphism"]
+    forms, compute = [], iso._compute_canonical
+
+    def counting_compute(m):
+        forms.append(m)
+        return compute(m)
+
+    canonical_form(k1)
     monkeypatch.setattr(sys.modules["semap.transforms"], "class_key", lambda neighbours: 0)
-    maps, notes, _ = cylinder_search([k1], T45, -8)
+    monkeypatch.setattr(iso, "_compute_canonical", counting_compute)
+    maps, notes, stats = cylinder_search([k1], T37, -10, max_candidates=2592)
+    assert [(m.name, m.faces) for m in maps] == [(m.name, m.faces) for m in k1_tri[0]]
+    assert notes == k1_tri[1]
+    assert len(forms) == len({id(m) for m in forms}) == stats.built
+
+
+def test_isomorphic_bases_are_merged(k1, k1_quad):
+    # a relabelled K1 under another name would repeat every class of [K1]; the first
+    # base of each canonical form is kept, so the output is that of [K1] itself
+    twin = k1.relabel([(7 * v + 5) % k1.n for v in range(k1.n)], name="K1'")
+    assert twin.faces != k1.faces
+    maps, notes, stats = cylinder_search([k1, twin], T45, -8)
+    assert stats.built == stats.classes == len(maps) == 482
     assert [(m.name, m.faces) for m in maps] == [(m.name, m.faces) for m in k1_quad[0]]
     assert notes == k1_quad[1]
+    maps, _, stats = cylinder_search([twin, k1], T45, -8)
+    assert stats.built == len(maps) == 482
+    assert {m.name.split("#")[0] for m in maps} == {"K1'+K1'"}
+
+
+@pytest.mark.parametrize("names, classes", [(("k1",), 482), (("t1", "t2", "t3", "n_map"), 844)],
+                         ids=["k1", "t1+t2+t3+n"])
+def test_quad_results_each_start_a_class_in_a_class_sink(request, names, classes):
+    # the quad search keeps no class store; a fresh ClassSink (class keys and
+    # canonical forms, which that path never computes) finds every result a new class
+    from semap.isomorphism import ClassSink
+
+    bases = [request.getfixturevalue(name) for name in names]
+    maps, _, stats = cylinder_search(bases, T45, -8)
+    assert stats.exhausted and stats.built == stats.classes == len(maps) == classes
+    sink = ClassSink()
+    assert all([sink.add(PolyhedralMap(m.faces, n=m.n, name=m.name)) for m in maps])
+    assert [(m.name, m.faces) for m in sink.maps] == [(m.name, m.faces) for m in maps]
 
 
 def test_slices_concatenate_to_the_whole_unit(k1):
@@ -373,9 +441,8 @@ def test_slices_concatenate_to_the_whole_unit(k1):
     whole = _run_unit(kept, pairing, moves, feasible, n, "quad")
     parts = [_run_unit(kept, pairing, moves, [[g]] + feasible[1:], n, "quad")
              for g in feasible[0]]
-    assert len(parts) > 1 and whole[0] > 0
-    assert [f for p in parts for f in p[1]] == whole[1]
-    assert sum(p[0] for p in parts) == whole[0]
+    assert len(parts) > 1 and whole
+    assert [f for p in parts for f in p] == whole
 
 
 def test_search_pool_has_no_more_workers_than_units(k1, monkeypatch):
