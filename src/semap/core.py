@@ -8,11 +8,11 @@ pure function over immutable :class:`PolyhedralMap` instances.
 The flag system encodes a closed map as three involutions on its
 (vertex, edge, face) flags, and :class:`FlagTemplate` is the one pass over
 the faces that builds it: ``validate`` reads edge degrees, links and
-connectivity off one template, :func:`closed_flags` (the flags plus the
-check that the map is closed) serves orientability, double covers and
-canonical forms, and the cylinder search fills in only the walls of each
-gluing.  :func:`components` is the one union-find for every connectivity
-question.
+connectivity off one template, and :func:`closed_flags` (the flags plus
+the check that the map is closed) serves orientability, double covers and
+canonical forms.  The cylinder search builds no flags per gluing: its
+screen proves each gluing closed.  :func:`components` is the one
+union-find for every connectivity question.
 """
 
 from __future__ import annotations
@@ -146,35 +146,36 @@ class PolyhedralMap:
 # ---------------------------------------------------------------------------
 
 class FlagTemplate:
-    """The flags of ``faces`` on ``0..n-1``, with slots for walls of the
-    given sizes after them: the one place flags are numbered.
+    """The flags of ``faces`` on ``0..n-1``, in one pass over the faces:
+    the one place flags are numbered.
 
     A flag is a mutually incident (vertex, edge, face) triple; ``s0``,
     ``s1`` and ``s2`` swap its vertex, edge and face respectively.  Faces
-    contribute flags in order, walls last: flag ``b + 2*i`` of the face
-    whose flags start at ``b`` sits at boundary position ``i`` and takes
-    the edge to the next vertex, flag ``b + 2*i + 1`` the edge to the
-    previous one.  ``s2`` pairs the flags of an edge that lies in exactly
-    two faces and fixes every other flag.  ``fv[x]`` is the vertex of flag
-    ``x`` of the faces (wall flags take theirs from the wall corners, in
-    the same order), ``flen[x]`` the size of its face, and
-    ``neighbours[v]`` the vertices joined to ``v`` by an edge.
-    ``sides`` holds one state per edge ``a*n + b`` (``a < b``): its flag at
-    ``a`` if it lies in one face, else minus the number of faces it lies in.
+    contribute flags in order: flag ``b + 2*i`` of the face whose flags
+    start at ``b`` sits at boundary position ``i`` and takes the edge to
+    the next vertex, flag ``b + 2*i + 1`` the edge to the previous one.
+    ``s2`` pairs the flags of an edge that lies in exactly two faces and
+    fixes every other flag.  ``fv[x]`` is the vertex of flag ``x``,
+    ``flen[x]`` the size of its face, and ``neighbours[v]`` the vertices
+    joined to ``v`` by an edge.  ``sides`` holds one state per edge
+    ``a*n + b`` (``a < b``), in the order the faces list the edges: its
+    flag at ``a`` if it lies in one face, else minus the number of faces
+    it lies in.
 
-    The constructor raises :class:`ValueError` only at the first face that
-    is not a polygon on ``0..n-1``, so it serves maps that are not closed.
-    It checks that bound itself because it also takes raw faces and walls;
-    labels are non-negative, as :class:`PolyhedralMap` makes them.
-    ``fill(walls)`` pairs the wall flags and checks the whole map is
-    closed; the template is left as it was, for the next walls.
+    The faces are those of a :class:`PolyhedralMap` on ``n`` vertices, so
+    their labels lie in ``0..n-1``.  The constructor raises
+    :class:`ValueError` only at the first face with fewer than three
+    vertices or a repeated one, so it serves maps that are not closed
+    (:func:`closed_flags` checks that).
     """
 
-    def __init__(self, faces, n: int, wall_sizes=()):
-        self.n, self.first_wall, self.wall_sizes = n, len(faces), tuple(wall_sizes)
+    def __init__(self, faces, n: int):
         for i, face in enumerate(faces):
-            self._require_polygon(i, face)
-        sizes = [*map(len, faces), *self.wall_sizes]
+            k = len(face)
+            if k < 3 or len(set(face)) != k:
+                raise ValueError(f"not a closed map: face #{i} {face} is not a polygon "
+                                 f"on vertices 0..{n - 1}")
+        sizes = list(map(len, faces))
         nflags = 2 * sum(sizes)
         s0 = [0] * nflags  # x + 3 at even x, x - 3 at odd x, but where a face wraps round
         s0[::2] = range(3, nflags + 3, 2)
@@ -184,77 +185,48 @@ class FlagTemplate:
             s0[b + 2 * k - 2], s0[b + 1] = b + 1, b + 2 * k - 2
             b += 2 * k
         corners = list(chain.from_iterable(faces))
-        self.start = 2 * len(corners)
         self.s0, self.s1, self.s2 = s0, [x ^ 1 for x in range(nflags)], list(range(nflags))
         self.fv = list(chain.from_iterable(zip(corners, corners)))
         self.flen = list(chain.from_iterable([k] * (2 * k) for k in sizes))
         self.neighbours: list[set[int]] = [set() for _ in range(n)]
         self.sides: dict[int, int] = {}
-        self.open, self.over = self._join(faces, 0, self.sides, self.neighbours, self.s2)
-        if self.over:  # fix s2 again on the edges in three or more faces
-            for x in range(self.start):
-                v, w = sorted((self.fv[x], self.fv[s0[x]]))
-                if self.sides[v * n + w] < -2:
-                    self.s2[x] = x
-
-    def _require_polygon(self, i: int, face) -> None:
-        k, n = len(face), self.n
-        if k < 3 or len(set(face)) != k or max(face) >= n:
-            raise ValueError(f"not a closed map: face #{i} {face} is not a polygon "
-                             f"on vertices 0..{n - 1}")
-
-    def _join(self, faces, b: int, sides, neighbours, s2):
-        """Add the edges of ``faces``, whose flags start at ``b``, to
-        ``sides`` and ``neighbours``, and pair ``s2`` where two sides of an
-        edge meet.  Returns by how many the open (one-face) and overfull
-        (three or more faces) edges grew."""
-        n, s0, opened, over = self.n, self.s0, 0, 0
+        sides, neighbours, s2, over = self.sides, self.neighbours, self.s2, False
         ahead = chain.from_iterable(f[1:] + f[:1] for f in faces)
-        for x, v, w in zip(count(b, 2), chain.from_iterable(faces), ahead):
+        for x, v, w in zip(count(0, 2), corners, ahead):
             if v > w:
                 v, w, x = w, v, s0[x]
             e = v * n + w
             p = sides.setdefault(e, x)
             if p == x:
-                opened += 1
                 neighbours[v].add(w)
                 neighbours[w].add(v)
             elif p >= 0:  # pair the two sides, at both ends of the edge
-                sides[e], opened, q, y = -2, opened - 1, s0[p], s0[x]
+                sides[e], q, y = -2, s0[p], s0[x]
                 s2[p], s2[x], s2[q], s2[y] = x, p, y, q
             else:
-                sides[e], over = p - 1, over + (p == -2)
-        return opened, over
-
-    def fill(self, walls=()):
-        """``(s2, neighbours)`` of the faces followed by ``walls``; ``s0``,
-        ``s1`` and ``flen`` are the template's whatever the walls.  Raises
-        :class:`ValueError` unless that map is closed: at the first wall that
-        is not a polygon on ``0..n-1``, else at the first edge, in the order
-        the faces list them, that does not lie in exactly two faces."""
-        if tuple(map(len, walls)) != self.wall_sizes:
-            raise ValueError(f"walls of sizes {self.wall_sizes} expected")
-        for i, face in enumerate(walls, self.first_wall):
-            self._require_polygon(i, face)
-        sides, s2, neighbours = dict(self.sides), self.s2[:], [set(s) for s in self.neighbours]
-        opened, over = self._join(walls, self.start, sides, neighbours, s2)
-        if self.open + opened or self.over + over:
-            e, p = next((e, p) for e, p in sides.items() if p >= 0 or p < -2)
-            raise ValueError(f"not a closed map: edge {divmod(e, self.n)} lies in "
-                             f"{1 if p >= 0 else -p} face(s)")
-        return s2, neighbours
+                sides[e], over = p - 1, True
+        if over:  # fix s2 again on the edges in three or more faces
+            for x in range(nflags):
+                v, w = sorted((self.fv[x], self.fv[s0[x]]))
+                if sides[v * n + w] < -2:
+                    s2[x] = x
 
 
 def closed_flags(m: PolyhedralMap):
     """``(moves, fv, flen, neighbours)`` of a closed map from its
     :class:`FlagTemplate`, with ``moves[x] = (s0[x], s1[x], s2[x])``.
-    Raises :class:`ValueError` unless ``m`` has a face and is closed
-    (:meth:`FlagTemplate.fill`).  Nothing is cached on ``m``."""
+    Raises :class:`ValueError` unless ``m`` has a face and is closed: at
+    the first face that is not a polygon on ``0..n-1``, else at the first
+    edge, in the order the faces list them, that does not lie in exactly
+    two faces.  Nothing is cached on ``m``."""
     if not m.faces:
         raise ValueError("not a closed map: it has no faces")
-    template = FlagTemplate(m.faces, m.n)
-    s2, neighbours = template.fill()
-    return list(zip(template.s0, template.s1, s2)), template.fv, template.flen, neighbours
+    t = FlagTemplate(m.faces, m.n)
+    for e, p in t.sides.items():
+        if p != -2:
+            raise ValueError(f"not a closed map: edge {divmod(e, m.n)} lies in "
+                             f"{1 if p >= 0 else -p} face(s)")
+    return list(zip(t.s0, t.s1, t.s2)), t.fv, t.flen, t.neighbours
 
 
 def components(size: int, pairs) -> list[int]:

@@ -14,7 +14,6 @@ from typing import Iterator, Sequence
 from .core import (
     Face,
     FaceSequence,
-    FlagTemplate,
     FlatTypeError,
     ImpossibleTypeError,
     PolyhedralMap,
@@ -320,8 +319,9 @@ def _without(faces, removed) -> list[Face]:
 def _apply_bundle(faces, specs) -> list[Face]:
     """The faces after every spec's two faces are removed and its walls added.
 
-    This is the one place cylinder specs turn into faces: ``add_cylinder``,
-    provenance replay and the search, for each new class, pass whole maps.
+    ``add_cylinder`` and provenance replay pass whole maps; the search
+    puts each result's walls after the faces its unit keeps, which is the
+    same list.
     """
     out = _without(faces, chain.from_iterable((s.face_a, s.face_b) for s in specs))
     for s in specs:
@@ -567,32 +567,38 @@ def _orbit_least(choice: tuple, moves) -> bool:
     return True
 
 
-def _run_unit(kept, pairing, moves, feasible, n: int, kind: str) -> list[tuple]:
+def _run_unit(neighbours, pairing, moves, feasible, kind: str) -> list[tuple]:
     """The orbit-least gluings of one slice of a unit, each as ``(key,
     choice)``: its gluing choice, with its :func:`class_key` on the triangle
     kind and None on the quad kind, whose gluings are each a new class
     (:class:`_Multiset`).
 
-    ``kept`` is what the unit's bases keep once its sites are removed.  A
-    slice fixes the gluing of the first site pair: ``feasible`` lists the
+    A slice fixes the gluing of the first site pair: ``feasible`` lists the
     gluing indices it allows per pair, all screened
     (:meth:`_Multiset.screen`), which makes every combination a valid map
     of the target type.  Only those that no symmetry in ``moves`` maps onto
-    an earlier one are constructed: one :class:`FlagTemplate` of ``kept``
-    per slice, filled with each gluing's walls, which checks the gluing is
-    closed and gives the neighbour sets the key reads.  No spec, no map
-    object and no canonical form is made per gluing.
+    an earlier one are kept, and nothing is built for them: no flags, no
+    spec, no map object and no canonical form.  The key reads the gluing's
+    vertex graph: the union's, ``neighbours`` (each vertex to the vertices
+    joined to it), plus the edges of the gluing's walls.  Removing the sites
+    loses no edge of the union: each site edge keeps the face across it
+    (the proof in :meth:`_Multiset.screen`).
     """
     gluings = _gluings(kind)
-    template = FlagTemplate(kept, n, [len(w) for a, b in pairing
-                                      for w in _wall_faces(a, b, 0, False)])
     found = []
     for choice in product(*feasible):
         if not _orbit_least(choice, moves):
             continue
-        walls = [w for (a, b), g in zip(pairing, choice) for w in _wall_faces(a, b, *gluings[g])]
-        neighbours = template.fill(walls)[1]
-        found.append((class_key(neighbours) if kind == "tri" else None, choice))
+        if kind == "quad":
+            found.append((None, choice))
+            continue
+        glued = [set(nv) for nv in neighbours.values()]
+        for (a, b), g in zip(pairing, choice):
+            for w in _wall_faces(a, b, *gluings[g]):
+                for v, x in zip(w, w[1:] + w[:1]):
+                    glued[v].add(x)
+                    glued[x].add(v)
+        found.append((class_key(glued), choice))
     return found
 
 
@@ -614,13 +620,15 @@ def cylinder_search(
     the bases (automorphisms of each copy, swaps of copies of one base)
     skip every bundle and every gluing they map onto an earlier one
     (:class:`_Multiset`), and each remaining gluing that passes the
-    per-cylinder screen is applied.  On the quad kind every such gluing is
-    a new class, proved in :class:`_Multiset`, so each is a result, with no
-    class key and no canonical form.  On the triangle kind each is handed,
-    with the :func:`class_key` its slice computed, to a :class:`ClassSink`,
-    which keeps one representative per isomorphism class.  The first
-    gluing to reach a class is never skipped, so the result list and its
-    provenance are those of the unreduced search.
+    per-cylinder screen is applied: the faces its unit keeps, then its
+    walls.  No flags are built per gluing.  On the quad kind every such
+    gluing is a new class, proved in :class:`_Multiset`, so each is a
+    result, with no class key and no canonical form.  On the triangle kind
+    each is handed, with the :func:`class_key` its slice read off the vertex
+    graph (:func:`_run_unit`), to a :class:`ClassSink`, which keeps one
+    representative per isomorphism class.  The first gluing to reach a
+    class is never skipped, so the result list and its provenance are those
+    of the unreduced search.
 
     Every built gluing is a valid map of the target type, with chi fixed
     by the vertex count: the bases are validated once, up front, and the
@@ -655,7 +663,7 @@ def cylinder_search(
                 f"base {b.name or f'#{i}'} is not a valid map: {report.violations[0]}")
 
     try:
-        target_n = sem_vertex_count(target_type, target_chi)
+        sem_vertex_count(target_type, target_chi)
     except (ImpossibleTypeError, FlatTypeError):
         stats.seconds = time.perf_counter() - t0
         return maps, notes, stats
@@ -677,7 +685,7 @@ def cylinder_search(
 
     gluings = _gluings(kind)
     admitted = 0
-    slices = []  # (multiset, kept, pairing, moves, feasible) per slice
+    slices = []  # (multiset, kept, union neighbours, pairing, moves, feasible) per slice
     for multiset, pairing in _combo_units(base_maps, target_type, target_chi, kind):
         cost = len(gluings) ** len(pairing)
         if max_candidates is not None and stats.candidates + cost > max_candidates:
@@ -693,10 +701,11 @@ def cylinder_search(
         kept = _without(multiset.faces, chain.from_iterable(pairing))
         ok = multiset.screen(pairing, kind)
         # ``product`` varies the first pair slowest
-        slices.extend((multiset, kept, pairing, moves, [[first]] + ok[1:]) for first in ok[0])
+        slices.extend((multiset, kept, multiset.union.neighbors, pairing, moves, [[first]] + ok[1:])
+                      for first in ok[0])
 
-    run = partial(_run_unit, n=target_n, kind=kind)
-    work = [[s[i] for s in slices] for i in range(1, 5)]  # what a worker receives
+    run = partial(_run_unit, kind=kind)
+    work = [[s[i] for s in slices] for i in range(2, 6)]  # what a worker receives
     sink = ClassSink()  # triangle kind only: a quad gluing comes with no key
     with ExitStack() as stack:
         spread = map
@@ -705,13 +714,15 @@ def cylinder_search(
 
             pool = cf.ProcessPoolExecutor(max_workers=min(jobs, admitted))
             spread = stack.enter_context(pool).map
-        for (multiset, _, pairing, _, _), found in zip(slices, spread(run, *work)):
+        for (multiset, kept, _, pairing, _, _), found in zip(slices, spread(run, *work)):
             stats.built += len(found)  # slices arrive in order
             for key, choice in found:
                 specs = tuple(CylinderSpec(kind, a, b, *gluings[g])
                               for (a, b), g in zip(pairing, choice))
                 name = "+".join(multiset.names) + f"#{len(maps) + 1}"
-                m = PolyhedralMap(_apply_bundle(multiset.faces, specs), n=multiset.n, name=name)
+                walls = [w for (a, b), g in zip(pairing, choice)
+                         for w in _wall_faces(a, b, *gluings[g])]
+                m = PolyhedralMap(kept + walls, n=multiset.n, name=name)
                 if key is None or sink.add(m, key):
                     maps.append(m)
                     notes.append(CylinderProvenance(bases=multiset.names, specs=specs))

@@ -4,12 +4,14 @@ import re
 import pytest
 
 from semap import (
+    CylinderSpec,
     FaceSequence,
     FlatTypeError,
     ImpossibleTypeError,
     NotTriangulationError,
     PolyhedralMap,
     VertexLink,
+    add_cylinder,
     canonical_form,
     face_sequence,
     is_d_covered,
@@ -23,7 +25,7 @@ from semap import (
     validate,
     vertex_link,
 )
-from semap.core import FlagTemplate, components
+from semap.core import FlagTemplate, closed_flags, components, face_edges
 from oracles import (
     brute_force_orientable,
     degree_by_faces,
@@ -178,6 +180,19 @@ def test_one_check_refuses_maps_that_are_not_closed(faces, n, message):
         with pytest.raises(ValueError) as info:
             fn(PolyhedralMap(faces, n=n))
         assert str(info.value) == message, fn.__name__
+
+
+def test_closed_flags_refuses_a_dropped_or_repeated_wall(k1, k2):
+    # a cylinder's walls close the map they are glued into: without its last wall that
+    # wall's edges lie in one face, and with its first wall twice that wall's lie in three
+    glued = add_cylinder(k1, CylinderSpec("quad", (0, 2, 3, 4), (0, 2, 3, 4)), k2)
+    kept, walls = list(glued.faces[:-4]), list(glued.faces[-4:])
+    closed_flags(glued)  # refuses nothing as glued
+    for broken, wall, count in ((walls[:-1], walls[-1], 1), (walls + walls[:1], walls[0], 3)):
+        with pytest.raises(ValueError, match=f"lies in {count} face") as info:
+            closed_flags(PolyhedralMap(kept + broken, n=glued.n))
+        edge = tuple(map(int, re.search(r"edge \((\d+), (\d+)\)", str(info.value)).groups()))
+        assert edge in face_edges(wall)
 
 
 OCTA = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1), (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4)]

@@ -291,7 +291,7 @@ def test_fewer_than_one_job_is_refused(k1, jobs):
         cylinder_search([k1], T45, -8, max_candidates=1024, jobs=jobs)
 
 
-def test_flags_are_built_once_per_slice(k1, monkeypatch):
+def test_no_flags_are_built_per_gluing(k1, monkeypatch):
     import sys
 
     core, transforms = sys.modules["semap.core"], sys.modules["semap.transforms"]
@@ -334,16 +334,16 @@ def test_flags_are_built_once_per_slice(k1, monkeypatch):
     monkeypatch.setattr(transforms, "class_key", recording_key)
     monkeypatch.setattr(iso.ClassSink, "add", counting_add)
     monkeypatch.setattr(transforms, "_run_unit", counting_unit)
-    # quad: one template per slice and nothing else per gluing, no key, no sink, no form;
+    # quad: no flags, map, key or form per slice or per gluing, and no sink;
     # a fresh base, whose form is computed once, for the merge and its group
     base = k1.relabel(list(range(k1.n)))
     _, _, stats = cylinder_search([base], T45, -8)
     assert stats.built == stats.classes == sum(built for *_, built in per_slice) == 482
     assert len(per_slice) < stats.built
-    assert {(p, m, f, k) for p, m, f, k, _ in per_slice} == {(1, 0, 0, 0)}
+    assert {(p, m, f, k) for p, m, f, k, _ in per_slice} == {(0, 0, 0, 0)}
     assert keys == [] and adds == [0]
     assert len(forms) == 1 and forms[0] is base
-    # triangle: one template and one key per gluing per slice, and forms only
+    # triangle: no flags, map or form per slice, one key per gluing, and forms only
     # where a key is shared: every gluing with that key, once each
     per_slice.clear()
     forms.clear()
@@ -351,7 +351,7 @@ def test_flags_are_built_once_per_slice(k1, monkeypatch):
     _, _, stats = cylinder_search([base], T37, -10, max_candidates=2592)
     assert stats.built == sum(built for *_, built in per_slice) == len(keys) == adds[0] == 1472
     assert len(per_slice) < stats.built
-    assert {(p, m, f) for p, m, f, _, _ in per_slice} == {(1, 0, 0)}
+    assert {(p, m, f) for p, m, f, _, _ in per_slice} == {(0, 0, 0)}
     assert all(k == built for *_, k, built in per_slice)
     counts = Counter(keys)
     shared = {k for k, c in counts.items() if c > 1}
@@ -431,15 +431,14 @@ def test_quad_results_each_start_a_class_in_a_class_sink(request, names, classes
 
 def test_slices_concatenate_to_the_whole_unit(k1):
     # ``product`` varies the first pair slowest, so the slices, in order, are the unit
-    from semap.transforms import _combo_units, _run_unit, _without
+    from semap.transforms import _combo_units, _run_unit
 
     multiset, pairing = next(_combo_units([k1], T45, -8, "quad"))
-    n = multiset.n
+    neighbours = multiset.union.neighbors
     moves = multiset.admit(pairing, "quad")
     feasible = multiset.screen(pairing, "quad")
-    kept = _without(multiset.faces, [f for pair in pairing for f in pair])
-    whole = _run_unit(kept, pairing, moves, feasible, n, "quad")
-    parts = [_run_unit(kept, pairing, moves, [[g]] + feasible[1:], n, "quad")
+    whole = _run_unit(neighbours, pairing, moves, feasible, "quad")
+    parts = [_run_unit(neighbours, pairing, moves, [[g]] + feasible[1:], "quad")
              for g in feasible[0]]
     assert len(parts) > 1 and whole
     assert [f for p in parts for f in p] == whole
@@ -496,54 +495,31 @@ def test_screen_accepts_exactly_the_valid_gluings(request, names, combo, kind, t
     assert accepted > 0
 
 
-@pytest.mark.parametrize("names, combo, kind, target, chi", [
-    pytest.param(("k1",), (0, 0), "quad", T45, -8, id="quad-target0--8"),
-    pytest.param(("k1",), (0, 0), "tri", T37, -10, id="tri-target1--10"),
-    pytest.param(("k1", "k3"), (0, 1), "quad", T45, -8, id="k1+k3-quad"),
-    pytest.param(("k1", "k3"), (0, 1), "tri", T37, -10, id="k1+k3-tri"),
-])
-def test_flag_template_equals_closed_flags(request, names, combo, kind, target, chi):
-    # every gluing of the first unit, screened or not: the template's flags are
-    # those of the built map (all of these close), and it refuses what closed_flags
-    # refuses, with the same message
-    from semap.core import FlagTemplate, closed_flags
-    from semap.transforms import _apply_bundle, _combo_units, _gluings, _without
+@pytest.mark.parametrize("names, combo", [(("k1",), (0, 0)), (("k1", "k3"), (0, 1))],
+                         ids=["tri-target1--10", "k1+k3-tri"])
+def test_keys_read_the_vertex_graph_of_the_built_map(request, monkeypatch, names, combo):
+    # every screened gluing of the first unit (no moves, so none is skipped): the
+    # neighbour sets its key reads, the union's plus the walls' edges, are those of
+    # the map that gluing builds, read off that map's own flags
+    import sys
 
+    from semap.core import closed_flags
+    from semap.transforms import _apply_bundle, _combo_units, _gluings, _run_unit
+
+    keyed = []
+    monkeypatch.setattr(sys.modules["semap.transforms"], "class_key", keyed.append)
     bases = [request.getfixturevalue(name) for name in names]
-    multiset, pairing = next(u for u in _combo_units(bases, target, chi, kind)
+    multiset, pairing = next(u for u in _combo_units(bases, T37, -10, "tri")
                              if u[0].combo == combo)
-    n = multiset.n
-    kept = _without(multiset.faces, [f for pair in pairing for f in pair])
-    size, per_pair = (4, 4) if kind == "quad" else (3, 6)
-    template = FlagTemplate(kept, n, [size] * (len(pairing) * per_pair))
-    closed = 0
-    for choice in product(_gluings(kind), repeat=len(pairing)):
-        specs = [CylinderSpec(kind=kind, face_a=a, face_b=b, offset=o, reflect=r)
-                 for (a, b), (o, r) in zip(pairing, choice)]
-        glued = _apply_bundle(kept, specs)
-        try:
-            expected = closed_flags(PolyhedralMap(glued, n=n))
-        except ValueError as refusal:
-            with pytest.raises(ValueError) as info:
-                template.fill(glued[len(kept):])
-            assert str(info.value) == str(refusal), specs
-            continue
-        walls = glued[len(kept):]
-        s2, neighbours = template.fill(walls)
-        wall_fv = [v for w in walls for v in w for _ in (0, 1)]
-        assembled = (list(zip(template.s0, template.s1, s2)), template.fv + wall_fv,
-                     template.flen, neighbours)
-        assert assembled == expected, specs
-        closed += 1
-    assert closed > 0
-    # a dropped wall leaves a site edge open; a repeated wall puts its edges in three faces
-    walls = glued[len(kept):]
-    for broken, why in ((walls[:-1], "lies in 1 face"), (walls + walls[:1], "lies in 3")):
-        with pytest.raises(ValueError, match=why) as refusal:
-            closed_flags(PolyhedralMap(kept + broken, n=n))
-        with pytest.raises(ValueError) as info:
-            FlagTemplate(kept, n, map(len, broken)).fill(broken)
-        assert str(info.value) == str(refusal.value)
+    feasible = multiset.screen(pairing, "tri")
+    found = _run_unit(multiset.union.neighbors, pairing, [], feasible, "tri")
+    choices = list(product(*feasible))
+    assert [choice for _, choice in found] == choices and len(keyed) == len(choices) > 0
+    gluings = _gluings("tri")
+    for neighbours, choice in zip(keyed, choices):
+        specs = [CylinderSpec("tri", a, b, *gluings[g]) for (a, b), g in zip(pairing, choice)]
+        built = PolyhedralMap(_apply_bundle(multiset.faces, specs), n=multiset.n)
+        assert neighbours == closed_flags(built)[3], specs
 
 
 def _unreduced_forms(bases, target, chi, kind, max_candidates):
