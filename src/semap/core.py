@@ -154,8 +154,9 @@ class FlagTemplate:
     contribute flags in order: flag ``b + 2*i`` of the face whose flags
     start at ``b`` sits at boundary position ``i`` and takes the edge to
     the next vertex, flag ``b + 2*i + 1`` the edge to the previous one.
-    ``s2`` pairs the flags of an edge that lies in exactly two faces and
-    fixes every other flag.  ``fv[x]`` is the vertex of flag ``x``,
+    ``s2`` pairs the flags of the first two faces on an edge and fixes the
+    rest, unread where an edge lies in three or more faces (``validate``
+    walks no orbit there).  ``fv[x]`` is the vertex of flag ``x``,
     ``flen[x]`` the size of its face, and ``neighbours[v]`` the vertices
     joined to ``v`` by an edge.  ``sides`` holds one state per edge
     ``a*n + b`` (``a < b``), in the order the faces list the edges: its
@@ -190,7 +191,7 @@ class FlagTemplate:
         self.flen = list(chain.from_iterable([k] * (2 * k) for k in sizes))
         self.neighbours: list[set[int]] = [set() for _ in range(n)]
         self.sides: dict[int, int] = {}
-        sides, neighbours, s2, over = self.sides, self.neighbours, self.s2, False
+        sides, neighbours, s2 = self.sides, self.neighbours, self.s2
         ahead = chain.from_iterable(f[1:] + f[:1] for f in faces)
         for x, v, w in zip(count(0, 2), corners, ahead):
             if v > w:
@@ -204,12 +205,7 @@ class FlagTemplate:
                 sides[e], q, y = -2, s0[p], s0[x]
                 s2[p], s2[x], s2[q], s2[y] = x, p, y, q
             else:
-                sides[e], over = p - 1, True
-        if over:  # fix s2 again on the edges in three or more faces
-            for x in range(nflags):
-                v, w = sorted((self.fv[x], self.fv[s0[x]]))
-                if sides[v * n + w] < -2:
-                    s2[x] = x
+                sides[e] = p - 1
 
 
 def closed_flags(m: PolyhedralMap):

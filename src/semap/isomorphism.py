@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 from .core import (
     Edge, Face, PolyhedralMap, closed_flags, components, normalize_face, oriented_edge,
-    vertex_link,
 )
 
 
@@ -108,9 +107,9 @@ def neighbor_set(m: PolyhedralMap, v: int) -> frozenset[int]:
 
 
 def link_vertex_set(m: PolyhedralMap, v: int) -> frozenset[int]:
-    """Vertices on the link cycle of ``v``: neighbors plus, for every
-    larger face at ``v``, the boundary vertices opposite the corner."""
-    return frozenset(vertex_link(m, v).link_vertices)
+    """Vertices of the faces at ``v``, less ``v``: its link cycle's on a
+    valid map.  A link that is not one cycle is not refused."""
+    return frozenset(u for i in m.vertex_faces[v] for u in m.faces[i]) - {v}
 
 
 def g_t_graph(m: PolyhedralMap, t: int, sets: str = "link") -> SimpleGraph:

@@ -236,7 +236,7 @@ def add_cylinder(map_a: PolyhedralMap, spec: CylinderSpec,
 @dataclass
 class CylinderSearchStats:
     bundles: int = 0
-    covered_units: int = 0   # bundles not run: a symmetry maps them onto an earlier one
+    covered_units: int = 0   # bundles not run: a symmetry maps them onto a lesser one
     candidates: int = 0      # gluing combinations examined
     built: int = 0           # orbit-least gluings constructed
     valid: int = 0           # always equals ``built``: every screened gluing is valid
@@ -340,16 +340,16 @@ class _Multiset:
     ``combo`` is a sorted tuple of indices into the search's bases.  The
     multiset holds the disjoint union of those bases (the i-th copy's
     labels shifted past its predecessors'), the copy of each vertex, the
-    faces at each vertex, its symmetry group and the pairings it has met.
+    faces at each vertex and its symmetry group; it keeps no record of units.
 
     The group acts on the labels of the union: an automorphism on every
     copy, then any permutation of the copies of one base.  A symmetry maps
     every gluing of a unit onto a gluing of the image unit, and validity,
     type and canonical form do not depend on labels, so a unit whose
-    pairing is the image of an earlier one's can only repeat classes, and
-    so can a gluing that a symmetry fixing its pairing maps onto an earlier
-    gluing of the same unit (orderly generation: B. D. McKay, J. Algorithms
-    26, 1998).
+    pairing a symmetry maps onto a lesser one can only repeat classes, and
+    so can a gluing that a symmetry fixing its pairing maps onto a lesser
+    gluing of the same unit; only orbit-least ones are kept (orderly
+    generation: R. C. Read, 1978; B. D. McKay, J. Algorithms 26, 1998).
 
     On the quad kind the converse holds too: distinct orbit-least gluings
     are non-isomorphic, so every one is a new class.  Assume the bases are
@@ -372,9 +372,9 @@ class _Multiset:
       each copy followed by a permutation of the copies of one base: one
       of :attr:`elements`.
     - ``f`` maps walls onto walls, hence the pairing of R onto that of R'.
-      :meth:`admit` admits one unit per orbit of pairings, so both units
-      are one, and ``f`` fixes its pairing.  The walls of a pair fix its
-      gluing, so ``f`` maps the choice of R onto that of R' by a move of
+      :meth:`admit` admits only the least pairing of each orbit, so the
+      units are one, and ``f`` fixes its pairing.  The walls of a pair fix
+      its gluing, so ``f`` maps the choice of R onto that of R' by a move of
       the unit's stabiliser (or the identity).  Both choices are the least
       of that orbit (:func:`_orbit_least`), so they are equal: R = R'.
     """
@@ -391,7 +391,6 @@ class _Multiset:
                                    n=self.n)
         self.faces = self.union.faces
         self.at = {v: set(fs) for v, fs in self.union.vertex_faces.items()}
-        self.met: set[frozenset] = set()  # every image of an admitted pairing
 
     @cached_property
     def elements(self) -> list[list[int]]:
@@ -417,9 +416,13 @@ class _Multiset:
         pairs joining every copy to the first.  Sites are all quadrangles
         (quad) or a vertex partition into triangles (tri).
 
-        Same-copy pairs are heavily constrained (their walls tend to hit
-        existing edges); the pairings with the fewest of them come first so
-        a truncated search reaches productive gluings early.
+        Pairs are sorted tuples of normalised sites, in sorted order, and
+        the list is sorted by (same-copy pair count, pairing): same-copy
+        pairs are heavily constrained (their walls tend to hit existing
+        edges), so a truncated search reaches productive gluings early.
+        Symmetries keep site sets, disjointness, that count and a connected
+        copy graph, so the list is closed under them, and the first of an
+        orbit in any prefix of it is its least: the one :meth:`admit` admits.
         """
         if kind == "quad":
             site_sets = [sorted(f for f in self.union.face_keys if len(f) == 4)]
@@ -439,22 +442,22 @@ class _Multiset:
         return out
 
     def admit(self, pairing, kind: str) -> list[tuple] | None:
-        """None if a symmetry maps ``pairing`` onto the pairing of an earlier
-        admitted unit; otherwise the gluing moves of its stabiliser.
+        """None if a symmetry maps ``pairing`` below itself (compared as
+        :meth:`pairings` lists them); otherwise its stabiliser's gluing moves.
 
         A move gives, for each site pair ``i``, the pair ``j`` the symmetry
         sends it to and where each gluing index of ``i`` lands on ``j``;
         it is read off by matching normalised wall sets.
         """
         identity = list(range(self.n))
-        key = frozenset(_image(identity, p) for p in pairing)
-        if key in self.met:
-            return None
         stabiliser = []
         for perm in self.elements:
-            image = frozenset(_image(perm, p) for p in pairing)
-            self.met.add(image)
-            if image == key and perm != identity:
+            if perm == identity:
+                continue
+            image = tuple(sorted(tuple(sorted(_image(perm, p))) for p in pairing))
+            if image < pairing:
+                return None
+            if image == pairing:
                 stabiliser.append(perm)
         walls = [[_image(identity, _wall_faces(a, b, o, r)) for o, r in _gluings(kind)]
                  for a, b in pairing]
@@ -577,7 +580,7 @@ def _run_unit(neighbours, pairing, moves, feasible, kind: str) -> list[tuple]:
     gluing indices it allows per pair, all screened
     (:meth:`_Multiset.screen`), which makes every combination a valid map
     of the target type.  Only those that no symmetry in ``moves`` maps onto
-    an earlier one are kept, and nothing is built for them: no flags, no
+    a lesser one are kept, and nothing is built for them: no flags, no
     spec, no map object and no canonical form.  The key reads the gluing's
     vertex graph: the union's, ``neighbours`` (each vertex to the vertices
     joined to it), plus the edges of the gluing's walls.  Removing the sites
@@ -618,7 +621,7 @@ def cylinder_search(
     every vertex once when it gains two triangles.  Bases with equal
     canonical forms are merged up front, keeping the first.  Symmetries of
     the bases (automorphisms of each copy, swaps of copies of one base)
-    skip every bundle and every gluing they map onto an earlier one
+    skip every bundle and every gluing they map onto a lesser one
     (:class:`_Multiset`), and each remaining gluing that passes the
     per-cylinder screen is applied: the faces its unit keeps, then its
     walls.  No flags are built per gluing.  On the quad kind every such

@@ -228,6 +228,13 @@ def test_flag_moves_are_involutions_with_one_orbit_per_vertex(all_catalog):
         orbit = components(len(fv), [(x, s[x]) for s in (s1, s2) for x in every])
         assert len(set(orbit)) == entry.map.n
         assert all(fv[x] == fv[orbit[x]] for x in every)
+    # edge (2, 3) lies in three faces: s2 pairs the flags of the first two and fixes
+    # every flag of the last face, whose other edges lie in one face; all stay involutions
+    t = FlagTemplate(TETRA + [(2, 3, 4)], 5)
+    every = range(len(t.fv))
+    for s in (t.s0, t.s1, t.s2):
+        assert all(s[s[x]] == x for x in every)
+    assert [x for x in every if t.s2[x] == x] == list(range(24, 30))
 
 
 def test_components_labels_by_least_member():

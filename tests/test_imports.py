@@ -1,7 +1,8 @@
 """Every name a ``semap`` module imports is used in that module.
 
 No linter runs on ``src/``, so this reads each module's syntax tree.  The
-package ``__init__`` is exempt: its imports are the public re-exports.
+package ``__init__`` is exempt: its imports are the public re-exports, and
+``semap.__all__`` must name exactly those.
 """
 
 import ast
@@ -29,3 +30,9 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - used) == []
+
+
+def test_all_names_exactly_the_package_imports():
+    tree = ast.parse(Path(semap.__file__).read_text())
+    assert len(semap.__all__) == len(set(semap.__all__))
+    assert set(semap.__all__) == imported_names(tree)

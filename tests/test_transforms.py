@@ -576,6 +576,28 @@ def test_units_of_one_base_multiset_share_one_multiset(k1, k3):
     assert len({id(ms) for ms, _ in units}) == len({ms.combo for ms, _ in units}) > 1
 
 
+@pytest.mark.parametrize("names, combo, kind, target, chi", [
+    pytest.param(("k1",), (0, 0), "quad", T45, -8, id="k1-quad"),
+    pytest.param(("k1", "k3"), (0, 1), "tri", T37, -10, id="k1+k3-tri"),
+])
+def test_admission_is_pure(request, names, combo, kind, target, chi):
+    # admitting a unit reads nothing from earlier units: asked twice, or with the
+    # pairings in reverse on a fresh multiset, each pairing gets the same answer
+    from semap.transforms import _combo_units, _Multiset
+
+    bases = [request.getfixturevalue(name) for name in names]
+    units = [u for u in _combo_units(bases, target, chi, kind) if u[0].combo == combo]
+    multiset, pairings = units[0][0], [p for _, p in units]
+    forward = []
+    for p in pairings:
+        moves = multiset.admit(p, kind)
+        assert multiset.admit(p, kind) == moves, p
+        forward.append(moves)
+    fresh = _Multiset(bases, combo)
+    assert [fresh.admit(p, kind) for p in reversed(pairings)][::-1] == forward
+    assert None in forward and sum(m is not None for m in forward) > 1
+
+
 def test_provenance_replays_to_the_same_map(k1, k2):
     from semap.transforms import _apply_bundle
 
