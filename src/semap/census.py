@@ -192,26 +192,29 @@ class PartialMap:
                     f"faces {face} and {g} share two vertices not forming a common edge",
                     "intersection")
 
-        undo: list[tuple[dict, object, object]] = []  # (dict, key, old value or None)
-
-        def put(d: dict, k, value) -> None:
-            undo.append((d, k, d.get(k)))
-            d[k] = value
-
+        # (dict, key, old value or None) per write; no stored value is empty or 0
+        undo: list[tuple[dict, object, object]] = []
+        push = undo.append
         idx = len(self.faces)
         self.faces.append(face)
         for e, fs in zip(edges, uses):
-            put(edge_use, e, fs + (idx,))
+            push((edge_use, e, fs or None))
+            edge_use[e] = fs + (idx,)
+        vertex_faces, size_used, arcs = self.vertex_faces, self.size_used, self.arcs
         for v, a, b, x, y in corners:
-            put(self.vertex_faces, v, self.vertex_faces.get(v, ()) + (idx,))
-            counts, ends = self.size_used[v], self.arcs[v]
-            put(counts, size, counts.get(size, 0) + 1)
+            push((vertex_faces, v, old := vertex_faces.get(v)))
+            vertex_faces[v] = (old or ()) + (idx,)
+            counts, ends = size_used[v], arcs[v]
+            push((counts, size, old := counts.get(size)))
+            counts[size] = (old or 0) + 1
             for k in (a, b):
                 if k in ends:
-                    undo.append((ends, k, ends.pop(k)))
+                    push((ends, k, ends.pop(k)))
             if x != b:
-                put(ends, x, y)
-                put(ends, y, x)
+                push((ends, x, ends.get(x)))
+                ends[x] = y
+                push((ends, y, ends.get(y)))
+                ends[y] = x
         self._trail.append(undo)
 
     def pop_face(self) -> Face:
@@ -303,14 +306,14 @@ def seed_partial(seq: FaceSequence, chi: int,
 # The search
 # ---------------------------------------------------------------------------
 
-def _site(partial: PartialMap) -> tuple[int, int]:
+def _site(partial: PartialMap) -> tuple[int, int] | None:
     """Most constrained open site: of the vertices with an open arc, the
     one with the fewest remaining corners (then smallest label), and the
-    least end of its arcs, which gives its smallest open edge.  The map
-    must have an open edge."""
+    least end of its arcs, which gives its smallest open edge.  None if no
+    vertex has an open arc: a map with a face is then complete."""
     faces_at, arcs = partial.vertex_faces, partial.arcs
-    _, v = min((-len(faces_at[v]), v) for v, ends in arcs.items() if ends)
-    return v, min(arcs[v])
+    best = min(((-len(faces_at[v]), v) for v, ends in arcs.items() if ends), default=None)
+    return None if best is None else (best[1], min(arcs[best[1]]))
 
 
 def _candidate_faces(partial: PartialMap, v: int, w: int) -> list[Face]:
@@ -376,7 +379,8 @@ def _complete(partial: PartialMap, stats: SearchStats, emit, max_nodes: int | No
         stats.exhausted = False
         return
     stats.nodes += 1
-    if partial.is_complete():
+    site = _site(partial)  # the one scan of the arcs: None iff complete (there is a face)
+    if site is None:
         if len(partial.vertex_faces) == partial.n:
             m = partial.to_map()
             report = validate(m)
@@ -386,8 +390,7 @@ def _complete(partial: PartialMap, stats: SearchStats, emit, max_nodes: int | No
             stats.solutions += 1
             emit(m)
         return
-    v, w = _site(partial)
-    for face in _candidate_faces(partial, v, w):
+    for face in _candidate_faces(partial, *site):
         try:
             partial.add_face(face)
         except LinkContradiction as exc:

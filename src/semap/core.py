@@ -74,22 +74,24 @@ class PolyhedralMap:
     Faces are undirected cycles: any rotation or reflection of the stored
     sequence denotes the same face.  The stored sequences are kept verbatim
     (catalog data stays recognisable); equality and hashing use the
-    normalised face set.  Construction coerces labels to ``int`` and raises
-    :class:`ValueError` at the first face with a label outside ``0..n-1``
-    (``n`` defaults to one more than the largest label), so every consumer
-    may read labels as vertices; it checks nothing else -- run
-    :func:`validate` for the closed-surface axioms.
+    normalised face set.  Construction keeps tuple faces as the same
+    objects, coerces labels to ``int`` only when some label is not one, and
+    raises :class:`ValueError` at the first face with a label outside
+    ``0..n-1`` (``n`` defaults to one more than the largest label), so
+    every consumer may read labels as vertices; it checks nothing else --
+    run :func:`validate` for the closed-surface axioms.
     """
 
     def __init__(self, faces, n: int | None = None, name: str = ""):
-        fs = tuple(tuple(int(v) for v in face) for face in faces)
-        if n is None:
-            n = 1 + max((max(face) for face in fs if face), default=-1)
-        self.n = n = int(n)
-        for i, face in enumerate(fs):
-            for v in face:
-                if not 0 <= v < n:
-                    raise ValueError(f"face #{i} {face} has a label outside 0..{n - 1}")
+        fs = tuple(map(tuple, faces))
+        labels = list(chain.from_iterable(fs))
+        if not set(map(type, labels)) <= {int}:
+            fs = tuple(tuple(map(int, face)) for face in fs)
+            labels = list(chain.from_iterable(fs))
+        self.n = n = int(1 + max(labels, default=-1) if n is None else n)
+        if labels and (min(labels) < 0 or max(labels) >= n):
+            i = next(i for i, face in enumerate(fs) if not all(0 <= v < n for v in face))
+            raise ValueError(f"face #{i} {fs[i]} has a label outside 0..{n - 1}")
         self.faces = fs
         self.name = name
 

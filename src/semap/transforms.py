@@ -296,15 +296,12 @@ def _gluings(kind: str) -> list[tuple[int, bool]]:
 
 
 def _infer_kind(base_type: FaceSequence, target_type: FaceSequence) -> str | None:
-    base = dict(base_type.entries)
-    quad_up = dict(base)
-    quad_up[4] = quad_up.get(4, 0) + 1
-    if quad_up == dict(target_type.entries):
-        return "quad"
-    tri_up = dict(base)
-    tri_up[3] = tri_up.get(3, 0) + 2
-    if tri_up == dict(target_type.entries):
-        return "tri"
+    """"quad" if the target type has one more quadrangle, "tri" if two more triangles."""
+    for kind, size, extra in (("quad", 4, 1), ("tri", 3, 2)):
+        up = dict(base_type.entries)
+        up[size] = up.get(size, 0) + extra
+        if up == dict(target_type.entries):
+            return kind
     return None
 
 
@@ -471,10 +468,10 @@ class _Multiset:
             moves.append(tuple(move))
         return moves
 
-    def screen(self, pairing, kind: str) -> list[list[int]]:
-        """For each site pair of ``pairing``, the indices into
-        :func:`_gluings` of the gluings whose walls fit the faces that
-        survive the surgery.
+    def screen(self, pairing, kind: str) -> list[dict[int, list[Face]]]:
+        """For each site pair of ``pairing``, the walls of each gluing that
+        fits the faces that survive the surgery, keyed by its index into
+        :func:`_gluings`; the search builds its results from these walls.
 
         A wall face joins vertices of ``a`` to vertices of ``b``.  If a
         surviving face also holds such a cross pair, it meets the wall face
@@ -524,9 +521,9 @@ class _Multiset:
         out = []
         for a, b in pairing:
             side = set(a)
-            out.append([g for g, (o, r) in enumerate(_gluings(kind)) if not any(
-                at[x] & at[y] for w in _wall_faces(a, b, o, r)
-                for x in w if x in side for y in w if y not in side)])
+            walls = {g: _wall_faces(a, b, o, r) for g, (o, r) in enumerate(_gluings(kind))}
+            out.append({g: ws for g, ws in walls.items() if not any(
+                at[x] & at[y] for w in ws for x in w if x in side for y in w if y not in side)})
         return out
 
 
@@ -570,7 +567,14 @@ def _orbit_least(choice: tuple, moves) -> bool:
     return True
 
 
-def _run_unit(neighbours, pairing, moves, feasible, kind: str) -> list[tuple]:
+def _glued(neighbours, walls) -> tuple[tuple[int, frozenset[int]], ...]:
+    """Each vertex of the triangle ``walls`` with its neighbours once they
+    are glued: the union's ``neighbours`` and the walls' other vertices."""
+    return tuple((v, neighbours[v].union(*(w for w in walls if v in w)) - {v})
+                 for v in sorted(set(chain.from_iterable(walls))))
+
+
+def _run_unit(sets, moves, feasible, kind: str) -> list[tuple]:
     """The orbit-least gluings of one slice of a unit, each as ``(key,
     choice)``: its gluing choice, with its :func:`class_key` on the triangle
     kind and None on the quad kind, whose gluings are each a new class
@@ -580,14 +584,14 @@ def _run_unit(neighbours, pairing, moves, feasible, kind: str) -> list[tuple]:
     gluing indices it allows per pair, all screened
     (:meth:`_Multiset.screen`), which makes every combination a valid map
     of the target type.  Only those that no symmetry in ``moves`` maps onto
-    a lesser one are kept, and nothing is built for them: no flags, no
-    spec, no map object and no canonical form.  The key reads the gluing's
-    vertex graph: the union's, ``neighbours`` (each vertex to the vertices
-    joined to it), plus the edges of the gluing's walls.  Removing the sites
-    loses no edge of the union: each site edge keeps the face across it
-    (the proof in :meth:`_Multiset.screen`).
+    a lesser one are kept, and nothing is built for them: no walls, no
+    flags, no spec, no map and no canonical form.  The key reads
+    ``sets[i][g]`` (None on the quad kind): the six vertices of pair ``i``
+    with their neighbours once gluing ``g`` is made (:func:`_glued`).  The
+    sites partition the vertices, so the chosen pairs' sets fill the vertex
+    graph, and it is the built map's: removing the sites loses no edge, as
+    each site edge keeps the face across it (:meth:`_Multiset.screen`).
     """
-    gluings = _gluings(kind)
     found = []
     for choice in product(*feasible):
         if not _orbit_least(choice, moves):
@@ -595,12 +599,10 @@ def _run_unit(neighbours, pairing, moves, feasible, kind: str) -> list[tuple]:
         if kind == "quad":
             found.append((None, choice))
             continue
-        glued = [set(nv) for nv in neighbours.values()]
-        for (a, b), g in zip(pairing, choice):
-            for w in _wall_faces(a, b, *gluings[g]):
-                for v, x in zip(w, w[1:] + w[:1]):
-                    glued[v].add(x)
-                    glued[x].add(v)
+        glued = [None] * (6 * len(sets))
+        for table, g in zip(sets, choice):
+            for v, nv in table[g]:
+                glued[v] = nv
         found.append((class_key(glued), choice))
     return found
 
@@ -624,14 +626,16 @@ def cylinder_search(
     skip every bundle and every gluing they map onto a lesser one
     (:class:`_Multiset`), and each remaining gluing that passes the
     per-cylinder screen is applied: the faces its unit keeps, then its
-    walls.  No flags are built per gluing.  On the quad kind every such
-    gluing is a new class, proved in :class:`_Multiset`, so each is a
-    result, with no class key and no canonical form.  On the triangle kind
-    each is handed, with the :func:`class_key` its slice read off the vertex
-    graph (:func:`_run_unit`), to a :class:`ClassSink`, which keeps one
-    representative per isomorphism class.  The first gluing to reach a
-    class is never skipped, so the result list and its provenance are those
-    of the unreduced search.
+    walls.  Walls and specs are made once per unit for each (site pair,
+    screened gluing), and results hold those tuples and the kept ones as
+    they are: no walls, specs or flags are built per gluing.  On the quad
+    kind every such gluing is a new class, proved in :class:`_Multiset`,
+    so each is a result, with no class key and no canonical form.  On the
+    triangle kind each is handed, with the :func:`class_key` its slice
+    read off per-pair glued neighbour sets (:func:`_run_unit`), to a
+    :class:`ClassSink`, which keeps one representative per class.  The
+    first gluing to reach a class is never skipped, so the result list and
+    its provenance are those of the unreduced search.
 
     Every built gluing is a valid map of the target type, with chi fixed
     by the vertex count: the bases are validated once, up front, and the
@@ -688,7 +692,7 @@ def cylinder_search(
 
     gluings = _gluings(kind)
     admitted = 0
-    slices = []  # (multiset, kept, union neighbours, pairing, moves, feasible) per slice
+    slices = []  # (multiset, kept, tables, sets, moves, feasible) per slice
     for multiset, pairing in _combo_units(base_maps, target_type, target_chi, kind):
         cost = len(gluings) ** len(pairing)
         if max_candidates is not None and stats.candidates + cost > max_candidates:
@@ -703,12 +707,18 @@ def cylinder_search(
         admitted += 1
         kept = _without(multiset.faces, chain.from_iterable(pairing))
         ok = multiset.screen(pairing, kind)
+        # once per unit and (site pair, screened gluing): walls and spec, and glued sets
+        tables = [{g: (walls, CylinderSpec(kind, a, b, *gluings[g])) for g, walls in pair.items()}
+                  for (a, b), pair in zip(pairing, ok)]
+        sets = None if kind == "quad" else [
+            {g: _glued(multiset.union.neighbors, walls) for g, walls in pair.items()}
+            for pair in ok]
+        rest = [list(pair) for pair in ok[1:]]  # indices only: no walls go to a worker
         # ``product`` varies the first pair slowest
-        slices.extend((multiset, kept, multiset.union.neighbors, pairing, moves, [[first]] + ok[1:])
-                      for first in ok[0])
+        slices.extend((multiset, kept, tables, sets, moves, [[first]] + rest) for first in ok[0])
 
     run = partial(_run_unit, kind=kind)
-    work = [[s[i] for s in slices] for i in range(2, 6)]  # what a worker receives
+    work = [[s[i] for s in slices] for i in range(3, 6)]  # what a worker receives
     sink = ClassSink()  # triangle kind only: a quad gluing comes with no key
     with ExitStack() as stack:
         spread = map
@@ -717,15 +727,12 @@ def cylinder_search(
 
             pool = cf.ProcessPoolExecutor(max_workers=min(jobs, admitted))
             spread = stack.enter_context(pool).map
-        for (multiset, kept, _, pairing, _, _), found in zip(slices, spread(run, *work)):
+        for (multiset, kept, tables, *_), found in zip(slices, spread(run, *work)):
             stats.built += len(found)  # slices arrive in order
             for key, choice in found:
-                specs = tuple(CylinderSpec(kind, a, b, *gluings[g])
-                              for (a, b), g in zip(pairing, choice))
+                walls, specs = zip(*(table[g] for table, g in zip(tables, choice)))
                 name = "+".join(multiset.names) + f"#{len(maps) + 1}"
-                walls = [w for (a, b), g in zip(pairing, choice)
-                         for w in _wall_faces(a, b, *gluings[g])]
-                m = PolyhedralMap(kept + walls, n=multiset.n, name=name)
+                m = PolyhedralMap(kept + [*chain.from_iterable(walls)], n=multiset.n, name=name)
                 if key is None or sink.add(m, key):
                     maps.append(m)
                     notes.append(CylinderProvenance(bases=multiset.names, specs=specs))

@@ -248,10 +248,9 @@ def site_of(faces):
 
 def check_state(engine, p, faces):
     """``open_edges`` holds the edges lying in one face, and ``_site``
-    picks the reference site whenever one is open."""
+    picks the reference site, or None when no edge is open."""
     assert p.open_edges == open_edges_of(faces)
-    if p.open_edges:
-        assert engine._site(p) == site_of(faces)
+    assert engine._site(p) == site_of(faces)
 
 
 def check_engine(engine, seq, n, ops):

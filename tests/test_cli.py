@@ -161,12 +161,15 @@ SEARCH_OUTPUT_PINS = [
     (("cylinder-search", "--type", "3^7,4", "--chi", "-10", "--bases", "k1,k2,k3",
       "--max-candidates", "2592", "--jobs", "2"),
      "ee2bdd24f6924ce9b6b65ffa292e07db0008ea2a2aa29248d57426f1deaa8cab"),
+    # four chi=-2 bases, orientable and not: 844 classes
+    (("cylinder-search", "--type", "3^5,4^2", "--chi", "-8", "--bases", "t1,t2,t3,n"),
+     "21cc7daf3cf270de8aa3596683c493a574fccb94bfe5df8a021dbd2e541342af"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", SEARCH_OUTPUT_PINS,
                          ids=["census-chi-1", "census-chi-2", "quad-k1-jobs1", "quad-k1-jobs2",
-                              "quad-k123", "tri-k123-2592-jobs2"])
+                              "quad-k123", "tri-k123-2592-jobs2", "quad-t123n"])
 def test_search_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0

@@ -217,6 +217,29 @@ def test_a_map_refuses_labels_outside_its_vertex_range(make, message):
         make()
 
 
+@pytest.mark.parametrize("faces, n, message", [
+    ([(0, 1, 2), (0, 2, 3), (0, 3, -1)], 4, "face #2 (0, 3, -1) has a label outside 0..3"),
+    ([(0, 1, 2), (0, 2, 3), (1, 2, 4), (0, 3, 5)], 4,
+     "face #2 (1, 2, 4) has a label outside 0..3"),
+    # the least and the largest label lie in the last face: the first bad face is named
+    ([(0, 1, 2), (0, 2, 4), (0, -1, 9)], 4, "face #1 (0, 2, 4) has a label outside 0..3"),
+], ids=["negative-later", "too-large-later", "first-of-two"])
+def test_a_map_names_the_first_face_with_a_bad_label(faces, n, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PolyhedralMap(faces, n=n)
+
+
+def test_a_map_turns_labels_that_are_not_ints_into_ints():
+    m = PolyhedralMap([(True, 0, 2), ["3", 1.0, 2.9]])
+    assert m.faces == ((1, 0, 2), (3, 1, 2)) and m.n == 4
+    assert all(type(v) is int for face in m.faces for v in face)
+    m = PolyhedralMap([(0, 1, 2), (False, 2, 3)], n=4.0)
+    assert m.faces == ((0, 1, 2), (0, 2, 3)) and type(m.n) is int
+    assert all(type(v) is int for face in m.faces for v in face)
+    with pytest.raises(ValueError, match=re.escape("face #1 (0, 2, 7) has a label outside 0..3")):
+        PolyhedralMap([(0, 1, 2), ("0", 2, 7.5)], n=4)
+
+
 def test_flag_moves_are_involutions_with_one_orbit_per_vertex(all_catalog):
     for entry in all_catalog:
         t = FlagTemplate(entry.map.faces, entry.map.n)

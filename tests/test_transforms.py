@@ -434,14 +434,26 @@ def test_slices_concatenate_to_the_whole_unit(k1):
     from semap.transforms import _combo_units, _run_unit
 
     multiset, pairing = next(_combo_units([k1], T45, -8, "quad"))
-    neighbours = multiset.union.neighbors
     moves = multiset.admit(pairing, "quad")
     feasible = multiset.screen(pairing, "quad")
-    whole = _run_unit(neighbours, pairing, moves, feasible, "quad")
-    parts = [_run_unit(neighbours, pairing, moves, [[g]] + feasible[1:], "quad")
-             for g in feasible[0]]
+    whole = _run_unit(None, moves, feasible, "quad")
+    parts = [_run_unit(None, moves, [[g]] + feasible[1:], "quad") for g in feasible[0]]
     assert len(parts) > 1 and whole
     assert [f for p in parts for f in p] == whole
+
+
+@pytest.mark.parametrize("target, chi, walls", [(T45, -8, 4), (T37, -10, 6)], ids=["quad", "tri"])
+def test_results_of_one_slice_share_their_face_tuples(k1, target, chi, walls):
+    # a unit's kept faces and each gluing's walls are built once per unit, and a
+    # result holds them as they are: two results of one slice (same pairing, same
+    # first gluing) hold the very same kept and first-pair wall tuples
+    maps, notes, _ = cylinder_search([k1], target, chi, max_candidates=2592)
+    i = next(i for i, (p, q) in enumerate(zip(notes, notes[1:])) if p.specs[0] == q.specs[0]
+             and [(s.face_a, s.face_b) for s in p.specs] == [(s.face_a, s.face_b) for s in q.specs])
+    one, two = maps[i].faces, maps[i + 1].faces
+    shared = len(one) - walls * (len(notes[i].specs) - 1)
+    assert one[:shared] == two[:shared] and one != two
+    assert all(f is g for f, g in zip(one[:shared], two[:shared]))
 
 
 def test_search_pool_has_no_more_workers_than_units(k1, monkeypatch):
@@ -499,12 +511,13 @@ def test_screen_accepts_exactly_the_valid_gluings(request, names, combo, kind, t
                          ids=["tri-target1--10", "k1+k3-tri"])
 def test_keys_read_the_vertex_graph_of_the_built_map(request, monkeypatch, names, combo):
     # every screened gluing of the first unit (no moves, so none is skipped): the
-    # neighbour sets its key reads, the union's plus the walls' edges, are those of
-    # the map that gluing builds, read off that map's own flags
+    # neighbour sets its key reads, each pair's glued sets for its gluing (the union's
+    # plus the walls' edges, made once per unit), are those of the map that gluing
+    # builds, read off that map's own flags
     import sys
 
     from semap.core import closed_flags
-    from semap.transforms import _apply_bundle, _combo_units, _gluings, _run_unit
+    from semap.transforms import _apply_bundle, _combo_units, _glued, _gluings, _run_unit
 
     keyed = []
     monkeypatch.setattr(sys.modules["semap.transforms"], "class_key", keyed.append)
@@ -512,7 +525,9 @@ def test_keys_read_the_vertex_graph_of_the_built_map(request, monkeypatch, names
     multiset, pairing = next(u for u in _combo_units(bases, T37, -10, "tri")
                              if u[0].combo == combo)
     feasible = multiset.screen(pairing, "tri")
-    found = _run_unit(multiset.union.neighbors, pairing, [], feasible, "tri")
+    sets = [{g: _glued(multiset.union.neighbors, walls) for g, walls in pair.items()}
+            for pair in feasible]
+    found = _run_unit(sets, [], feasible, "tri")
     choices = list(product(*feasible))
     assert [choice for _, choice in found] == choices and len(keyed) == len(choices) > 0
     gluings = _gluings("tri")
