@@ -10,8 +10,8 @@ already applies the closing rule of the link at the site vertex, so the
 pruning statistics count only the faces it offers.  The search is not
 isomorph-free: it can reach one class through several complete maps (32
 for the 3 classes of (3^5,4) on chi=-1), so each complete map is validated
-as it arrives and handed to a :class:`semap.isomorphism.ClassSink`, which
-keeps the first map of each class.
+as it arrives and keyed by its canonical form; the first map of each form
+is kept.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .core import (
     sem_vertex_count,
     validate,
 )
-from .isomorphism import ClassSink
+from .isomorphism import canonical_form
 
 
 PRUNE_REASONS = ("size", "repeat", "range", "duplicate", "slot", "edge", "link",
@@ -88,8 +88,8 @@ class PartialMap:
     ``add_face`` runs every check before it changes anything, so a refused
     face leaves the state as it was.  A commit pushes its undo record (each
     changed dict entry with its old value) on a trail, and ``pop_face``
-    restores the state from before the last commit exactly; the search
-    commits and pops in place.  ``copy`` starts an empty trail.
+    restores the state from before the last commit exactly; the search and
+    :func:`assume_link` commit and pop in place.
     """
 
     def __init__(self, n: int, target: FaceSequence):
@@ -102,19 +102,6 @@ class PartialMap:
         self.size_used: dict[int, dict[int, int]] = {v: {} for v in range(n)}
         self.arcs: dict[int, dict[int, int]] = {v: {} for v in range(n)}
         self._trail: list[list] = []
-
-    def copy(self) -> "PartialMap":
-        out = PartialMap.__new__(PartialMap)
-        out.n = self.n
-        out.target = self.target
-        out.degree = self.degree
-        out.faces = list(self.faces)
-        out.edge_use = dict(self.edge_use)
-        out.vertex_faces = dict(self.vertex_faces)
-        out.size_used = {v: dict(c) for v, c in self.size_used.items()}
-        out.arcs = {v: dict(e) for v, e in self.arcs.items()}
-        out._trail = []
-        return out
 
     # -- queries ----------------------------------------------------------
 
@@ -231,25 +218,31 @@ class PartialMap:
 
 
 def assume_link(partial: PartialMap, v: int, link: VertexLink) -> PartialMap:
-    """Commit all faces a full vertex link implies; pure (returns a copy).
+    """Commit all faces a full vertex link implies, in place; returns ``partial``.
 
     Already-committed faces are fine as long as the link agrees with them;
     a committed face at ``v`` missing from the link is a contradiction, as
-    is any face commit that breaks a partial-map invariant.
+    is any face commit that breaks a partial-map invariant.  A refused link
+    pops what it committed, so it leaves ``partial`` as it was.
     """
-    out = partial.copy()
     link_keys = {normalize_face((v,) + c) for c in link.corners}
     committed = set()
-    for fi in out.vertex_faces.get(v, ()):
-        key = normalize_face(out.faces[fi])
+    for fi in partial.vertex_faces.get(v, ()):
+        key = normalize_face(partial.faces[fi])
         if key not in link_keys:
             raise LinkContradiction(
-                f"committed face {out.faces[fi]} is not part of the asserted link of {v}")
+                f"committed face {partial.faces[fi]} is not part of the asserted link of {v}")
         committed.add(key)
-    for face in link.faces():
-        if normalize_face(face) not in committed:
-            out.add_face(face)
-    return out
+    depth = len(partial.faces)
+    try:
+        for face in link.faces():
+            if normalize_face(face) not in committed:
+                partial.add_face(face)
+    except LinkContradiction:
+        while len(partial.faces) > depth:
+            partial.pop_face()
+        raise
+    return partial
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +398,9 @@ def complete_search(partial: PartialMap, max_nodes: int | None = None
     """Exhaust all completions of a partial map into closed maps.
 
     Emitted maps pass full validation; no isomorphism de-duplication here.
-    The search grows the map from its open edges, so ``partial`` must hold
-    at least one face; an empty one, or a negative ``max_nodes``, raises
+    The search grows ``partial`` in place and restores it on return.  It
+    grows the map from its open edges, so ``partial`` must hold at least
+    one face; an empty one, or a negative ``max_nodes``, raises
     ``ValueError``.
     """
     if not partial.faces:
@@ -416,7 +410,7 @@ def complete_search(partial: PartialMap, max_nodes: int | None = None
     stats = SearchStats()
     t0 = time.perf_counter()
     found: list[PolyhedralMap] = []
-    _complete(partial.copy(), stats, found.append, max_nodes)
+    _complete(partial, stats, found.append, max_nodes)
     stats.seconds = time.perf_counter() - t0
     return found, stats
 
@@ -445,8 +439,8 @@ def enumerate_sems(seq: FaceSequence, chi: int, seed: str = "link",
     the whole tree was covered.  A negative ``max_nodes`` raises
     ``ValueError``.
 
-    Each complete map goes to a :class:`ClassSink` as it is found; the
-    first of each class is kept and named.  No type filter: a complete map
+    Each complete map is keyed by its canonical form as it is found; the
+    first of each form is kept and named.  No type filter: a complete map
     uses every vertex, closes each link at exactly ``degree`` corners and
     keeps each size count within its budget, so it has type ``seq``, and
     with n fixed the type fixes chi.
@@ -462,14 +456,14 @@ def enumerate_sems(seq: FaceSequence, chi: int, seed: str = "link",
         stats.seconds = time.perf_counter() - t0
         return [], stats
 
-    sink = ClassSink()
+    classes: dict[bytes, PolyhedralMap] = {}
 
     def keep(m: PolyhedralMap) -> None:
-        if sink.add(m):
-            m.name = f"{seq}|chi={chi}#{len(sink.maps)}"
+        if classes.setdefault(canonical_form(m), m) is m:
+            m.name = f"{seq}|chi={chi}#{len(classes)}"
 
     for partial in _seeds(seq, chi, seed, stats):  # one budget for all seeds
         _complete(partial, stats, keep, max_nodes)
-    stats.classes = len(sink.maps)
+    stats.classes = len(classes)
     stats.seconds = time.perf_counter() - t0
-    return sink.maps, stats
+    return list(classes.values()), stats

@@ -355,6 +355,8 @@ class VertexLink:
     @classmethod
     def from_corners(cls, center: int, corners) -> "VertexLink":
         corners = tuple(tuple(c) for c in corners)
+        if len(corners) < 3:
+            raise ValueError(f"link of vertex {center} has {len(corners)} corners, need >= 3")
         for prev, cur in zip(corners, corners[1:] + corners[:1]):
             if prev[-1] != cur[0]:
                 raise ValueError(f"corner chain broken between {prev} and {cur}")
@@ -433,7 +435,8 @@ def vertex_link(m: PolyhedralMap, v: int) -> VertexLink:
 
     Raises :class:`KeyError` for a vertex outside ``0..n-1`` and
     :class:`ValueError` unless the map is valid at ``v``: the faces at
-    ``v`` repeat no vertex and close into a single cycle around it.
+    ``v`` repeat no vertex and close into a single cycle of at least three
+    corners around it.
     """
     if not 0 <= v < m.n:
         raise KeyError(f"vertex {v} not in map with n={m.n}")
@@ -669,11 +672,6 @@ class SurfaceProfile:
         o = "orientable" if self.orientable else "non-orientable"
         return (f"chi={self.euler_characteristic} ({o}), "
                 f"V={self.vertex_count} E={self.edge_count} F={self.face_count}")
-
-
-def is_orientable(m: PolyhedralMap) -> bool:
-    """Raises :class:`ValueError` unless ``m`` is closed (:func:`closed_flags`)."""
-    return orientable(closed_flags(m)[0])
 
 
 def orientable(moves) -> bool:

@@ -17,10 +17,10 @@ which also checks the map is closed.  The root filter keys each face size
 and vertex once, and the walk from each root stops at its first step worse
 than the best code so far.
 
-The census and the triangle cylinder search hand their maps to one
-:class:`ClassSink`, which asks for a cheap relabeling invariant first,
+The census keys its complete maps by canonical form.  The triangle
+cylinder search asks for a cheap relabeling invariant first,
 :func:`class_key`, and a canonical form only when a key is seen again: a
-new key is a new class.  The quadrangle cylinder search needs no sink:
+new key is a new class.  The quadrangle cylinder search needs neither:
 each of its gluings is proved a new class.
 
 The canonical data of a map (form, relabeled faces, one labeling per
@@ -99,11 +99,6 @@ class SimpleGraph:
                     best = key
             shapes.append((len(verts), best))
         return (self.n, tuple(sorted(shapes)))
-
-
-def neighbor_set(m: PolyhedralMap, v: int) -> frozenset[int]:
-    """Vertices joined to ``v`` by an edge of some face."""
-    return m.neighbors[v]
 
 
 def link_vertex_set(m: PolyhedralMap, v: int) -> frozenset[int]:
@@ -310,31 +305,6 @@ def isomorphism(m1: PolyhedralMap, m2: PolyhedralMap) -> dict[int, int] | None:
 
 def are_isomorphic(m1: PolyhedralMap, m2: PolyhedralMap) -> bool:
     return isomorphism(m1, m2) is not None
-
-
-class ClassSink:
-    """The first map of each isomorphism class to arrive, in order (``maps``).
-
-    :meth:`add` looks up the :func:`class_key` first: a new key is a new
-    class.  Canonical forms are compared only with the representatives
-    under a repeated key, so a key collision never merges two classes.
-    """
-
-    def __init__(self):
-        self.maps: list[PolyhedralMap] = []
-        self._by_key: dict[int, list[PolyhedralMap]] = {}
-
-    def add(self, m: PolyhedralMap, key: int | None = None) -> bool:
-        """Keep ``m`` if it starts a new class, and say whether it did.  ``key``
-        is its class key if the caller has it, else it is read off ``m.neighbors``."""
-        if key is None:
-            key = class_key(list(m.neighbors.values()))
-        same_key = self._by_key.setdefault(key, [])
-        if any(canonical_form(r) == canonical_form(m) for r in same_key):
-            return False
-        same_key.append(m)
-        self.maps.append(m)
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .core import (
     surface_profile,
     validate,
 )
-from .isomorphism import ClassSink, automorphism_group, canonical_form, class_key
+from .isomorphism import automorphism_group, canonical_form, class_key
 
 
 class TransformError(ValueError):
@@ -631,11 +631,12 @@ def cylinder_search(
     they are: no walls, specs or flags are built per gluing.  On the quad
     kind every such gluing is a new class, proved in :class:`_Multiset`,
     so each is a result, with no class key and no canonical form.  On the
-    triangle kind each is handed, with the :func:`class_key` its slice
-    read off per-pair glued neighbour sets (:func:`_run_unit`), to a
-    :class:`ClassSink`, which keeps one representative per class.  The
-    first gluing to reach a class is never skipped, so the result list and
-    its provenance are those of the unreduced search.
+    triangle kind each comes with the :func:`class_key` its slice read off
+    per-pair glued neighbour sets (:func:`_run_unit`): a new key is a new
+    class, and a gluing under a repeated key is dropped only if a result
+    under that key has its canonical form.  The first gluing to reach a
+    class is never skipped, so the result list and its provenance are
+    those of the unreduced search.
 
     Every built gluing is a valid map of the target type, with chi fixed
     by the vertex count: the bases are validated once, up front, and the
@@ -719,7 +720,7 @@ def cylinder_search(
 
     run = partial(_run_unit, kind=kind)
     work = [[s[i] for s in slices] for i in range(3, 6)]  # what a worker receives
-    sink = ClassSink()  # triangle kind only: a quad gluing comes with no key
+    by_key: dict[int, list[PolyhedralMap]] = {}  # triangle kind: the results per key
     with ExitStack() as stack:
         spread = map
         if jobs > 1 and admitted > 1:
@@ -733,9 +734,13 @@ def cylinder_search(
                 walls, specs = zip(*(table[g] for table, g in zip(tables, choice)))
                 name = "+".join(multiset.names) + f"#{len(maps) + 1}"
                 m = PolyhedralMap(kept + [*chain.from_iterable(walls)], n=multiset.n, name=name)
-                if key is None or sink.add(m, key):
-                    maps.append(m)
-                    notes.append(CylinderProvenance(bases=multiset.names, specs=specs))
+                if key is not None:
+                    rivals = by_key.setdefault(key, [])
+                    if any(canonical_form(r) == canonical_form(m) for r in rivals):
+                        continue
+                    rivals.append(m)
+                maps.append(m)
+                notes.append(CylinderProvenance(bases=multiset.names, specs=specs))
     stats.valid = stats.built
     stats.classes = len(maps)
     stats.seconds = time.perf_counter() - t0

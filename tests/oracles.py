@@ -201,3 +201,91 @@ def link_oracle(m: PolyhedralMap) -> set[int]:
         if len(reached) != len(at):
             broken.add(v)
     return broken
+
+
+def automorphism_count(m: PolyhedralMap) -> int:
+    """|Aut(m)| of a connected closed map, without trying n! permutations.
+
+    An automorphism is fixed by the image of face 0 read from its first
+    vertex towards its second.  For each possible image, a face read from
+    a towards b, the map is propagated across edges: the other face on an
+    edge a-b must go to the other face on its image edge, read from the
+    image of a towards the image of b.  An image counts if every face is
+    reached and the vertex map is a consistent bijection.
+    """
+    faces = m.faces
+    on_edge: dict[frozenset, list[int]] = {}
+    for i, f in enumerate(faces):
+        for j in range(len(f)):
+            on_edge.setdefault(frozenset((f[j - 1], f[j])), []).append(i)
+
+    def read(f, a, b):
+        """The vertices of face ``f`` from ``a``, stepping first to ``b``."""
+        i = f.index(a)
+        out = f[i:] + f[:i]
+        return out if out[1] == b else (a,) + out[:0:-1]
+
+    def extends(image: int, a: int, b: int) -> bool:
+        phi: dict[int, int] = {}
+        face_image = {0: image}
+        queue = [(0, faces[0], read(faces[image], a, b))]
+        for i, src, dst in queue:
+            if len(src) != len(dst):
+                return False
+            for u, w in zip(src, dst):
+                if phi.setdefault(u, w) != w:
+                    return False
+            for j in range(len(src)):
+                x, y = src[j - 1], src[j]
+                others = [k for k in on_edge[frozenset((x, y))] if k != i]
+                targets = [k for k in on_edge.get(frozenset((phi[x], phi[y])), [])
+                           if k != face_image[i]]
+                if len(others) != 1 or len(targets) != 1:
+                    return False
+                k, t = others[0], targets[0]
+                if k in face_image:
+                    if face_image[k] != t:
+                        return False
+                    continue
+                face_image[k] = t
+                queue.append((k, read(faces[k], x, y), read(faces[t], phi[x], phi[y])))
+        return (len(face_image) == len(faces) == len(set(face_image.values()))
+                and len(phi) == m.n == len(set(phi.values())))
+
+    return sum(extends(j, f[i], f[(i + s) % len(f)])
+               for j, f in enumerate(faces) if len(f) == len(faces[0])
+               for i in range(len(f)) for s in (1, -1))
+
+
+def vertex_arrangement(m: PolyhedralMap, v: int) -> tuple[int, ...]:
+    """The sizes of the faces round ``v`` in cyclic order: each face at
+    ``v`` is followed by the other face on its edge from ``v`` to the
+    neighbour it has not come from."""
+    at = [f for f in m.faces if v in f]
+    f = at[0]
+    i = f.index(v)
+    w = f[(i + 1) % len(f)]
+    sizes = []
+    for _ in at:
+        sizes.append(len(f))
+        f = next(g for g in at if g is not f and w in g
+                 and w in (g[g.index(v) - 1], g[(g.index(v) + 1) % len(g)]))
+        i = f.index(v)
+        w = f[i - 1] if f[(i + 1) % len(f)] == w else f[(i + 1) % len(f)]
+    return tuple(sizes)
+
+
+def rooting_count(m: PolyhedralMap, seed: str) -> int:
+    """The ways to lay a census seed on ``m``.  A ``"link"`` seed is the
+    link of a vertex in that vertex's arrangement, so each vertex counts the
+    rotations and reflections that keep its arrangement.  A ``"face"`` seed
+    is one largest face, read from any vertex in either direction."""
+    if seed == "face":
+        size = max(map(len, m.faces))
+        return 2 * size * sum(len(f) == size for f in m.faces)
+    total = 0
+    for v in range(m.n):
+        sizes = vertex_arrangement(m, v)
+        total += sum(r[i:] + r[:i] == sizes for r in (sizes, sizes[::-1])
+                     for i in range(len(sizes)))
+    return total

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import partial_map_admits
+from oracles import automorphism_count, partial_map_admits, rooting_count
 from semap import (
     FaceSequence,
     LinkContradiction,
@@ -27,7 +27,6 @@ from semap import (
 )
 from semap import census
 from semap.census import PRUNE_REASONS
-from semap.isomorphism import ClassSink
 
 T354 = FaceSequence.from_string("3^5,4")
 
@@ -76,8 +75,9 @@ def test_assume_link_commits_implied_faces():
     partial = seed_partial(T354, -1)
     # a consistent choice for the link of vertex 2 around the seed quad
     link = VertexLink.from_notation(2, "C7([3, 4, 0], 1, 8, 6, 5)")
+    before = {normalize_face(f) for f in partial.faces}
     out = assume_link(partial, 2, link)
-    new = {normalize_face(f) for f in out.faces} - {normalize_face(f) for f in partial.faces}
+    new = {normalize_face(f) for f in out.faces} - before
     assert new == {
         normalize_face(f) for f in [(2, 1, 8), (2, 8, 6), (2, 6, 5), (2, 5, 3)]
     }
@@ -185,23 +185,26 @@ def test_add_face_rejects_three_shared_vertices():
     assert info.value.reason == "intersection"
 
 
-def test_copy_isolates_state():
-    p = seed_partial(T354, -1)
-    q = p.copy()
-    q.add_face((1, 2, 8))
-    assert len(p.faces) == 6
-    assert len(q.faces) == 7
-
-
 def test_searches_leave_their_argument_unchanged():
     partial = seed_partial(T354, -1)
     before = copy.deepcopy(vars(partial))
     complete_search(partial, max_nodes=300)
     assert vars(partial) == before
-    assume_link(partial, 2, VertexLink.from_notation(2, "C7([3, 4, 0], 1, 8, 6, 5)"))
+    # a link is committed in place, one face per corner not yet there, and
+    # each of those commits pops off the trail
+    link = VertexLink.from_notation(2, "C7([3, 4, 0], 1, 8, 6, 5)")
+    assert assume_link(partial, 2, link) is partial
+    assert len(partial.faces) == 10
+    for _ in range(4):
+        partial.pop_face()
     assert vars(partial) == before
+    # a refused link changes nothing: one refused at once, and one refused
+    # after it has committed faces of its own
     with pytest.raises(LinkContradiction):
         assume_link(partial, 2, VertexLink.from_notation(2, "C7([5, 6, 7], 8, 9, 1, 0)"))
+    assert vars(partial) == before
+    with pytest.raises(LinkContradiction):
+        assume_link(partial, 2, VertexLink.from_notation(2, "C7([3, 4, 0], 1, 5, 6, 7)"))
     assert vars(partial) == before
 
 
@@ -387,6 +390,22 @@ def test_weaker_seed_reaches_the_same_classes():
         assert {canonical_form(m) for m in a} == {canonical_form(m) for m in b}
 
 
+@pytest.mark.parametrize("seed", ["link", "face"])
+@pytest.mark.parametrize("text, chi", [
+    ("3^3", 2), ("3^4", 2), ("4^3", 2), ("3^5", 2), ("3^5", 1), ("3^5,4", -1),
+    ("3^2,4^3", -1), ("3^2,4^2", 2)])
+def test_solutions_count_each_class_once_per_orbit_of_rootings(text, chi, seed):
+    # both seeds label what follows them in first-use order, so an exhausted run
+    # finds each rooting of each class once, up to automorphism: solutions =
+    # sum over classes C of rootings(C) / |Aut(C)|, with no code of the census
+    # or of the canonical form on the right-hand side
+    maps, stats = enumerate_sems(FaceSequence.from_string(text), chi, seed=seed)
+    assert stats.exhausted and maps
+    orbits = [divmod(rooting_count(m, seed), automorphism_count(m)) for m in maps]
+    assert [rest for _, rest in orbits] == [0] * len(maps)
+    assert stats.solutions == sum(count for count, _ in orbits)
+
+
 def test_impossible_parameters_return_empty():
     maps, stats = enumerate_sems(FaceSequence.from_string("3^7,4"), -1)
     assert maps == []
@@ -511,15 +530,6 @@ def test_a_seed_face_that_does_not_fit_gives_no_maps():
     assert stats.reason.startswith("seed face does not fit: face (0, 1, 2)")
 
 
-def test_key_collisions_fall_back_on_canonical_forms(monkeypatch):
-    # one key for every complete map: each is told apart by its canonical form alone
-    default, _ = enumerate_sems(T354, -1)
-    monkeypatch.setattr(sys.modules["semap.isomorphism"], "class_key", lambda neighbours: 0)
-    collided, stats = enumerate_sems(T354, -1)
-    assert [(m.name, m.faces) for m in collided] == [(m.name, m.faces) for m in default]
-    assert stats.classes == 3
-
-
 def per_seed_reference(seq, chi, max_nodes):
     """The census run one corner arrangement at a time: a complete_search
     per seed on what is left of the budget, its counts merged by hand, and
@@ -558,32 +568,23 @@ def test_one_budget_across_arrangements_matches_the_per_seed_merge(max_nodes):
 
 
 @pytest.mark.parametrize("chi, max_nodes", [(-1, None), (-2, 10000)])
-def test_census_computes_forms_only_under_repeated_keys(monkeypatch, chi, max_nodes):
+def test_census_computes_one_form_per_solution_and_no_key(monkeypatch, chi, max_nodes):
     iso = sys.modules["semap.isomorphism"]
-    arrivals, keys, forms = [], [], []
-    add, key, compute = ClassSink.add, iso.class_key, iso._compute_canonical
-
-    def recording_add(self, m, k=None):
-        arrivals.append(m)
-        return add(self, m, k)
-
-    def recording_key(neighbours):
-        keys.append(key(neighbours))
-        return keys[-1]
+    forms, keys, compute = [], [], iso._compute_canonical
 
     def counting_compute(m):
         forms.append(m)
         return compute(m)
 
-    monkeypatch.setattr(ClassSink, "add", recording_add)
-    monkeypatch.setattr(iso, "class_key", recording_key)
     monkeypatch.setattr(iso, "_compute_canonical", counting_compute)
+    monkeypatch.setattr(iso, "class_key", keys.append)
     maps, stats = enumerate_sems(T354, chi, max_nodes=max_nodes)
-    assert len(arrivals) == len(keys) == stats.solutions
-    # an arrival whose key was seen, and the representative it is compared
-    # with, is exactly an arrival whose key comes up more than once
-    counts = Counter(keys)
-    repeated = [m for m, k in zip(arrivals, keys) if counts[k] > 1]
-    assert len(forms) == len({id(m) for m in forms}) == len(repeated)
-    assert {id(m) for m in forms} == {id(m) for m in repeated}
+    # each complete map, and nothing else, gets its canonical form once
+    assert len(forms) == len({id(m) for m in forms}) == stats.solutions
+    assert keys == []
+    # and the classes are the first map of each form, in arrival order
+    firsts = {}
+    for m in forms:
+        firsts.setdefault(canonical_form(m), m)
+    assert [id(m) for m in maps] == [id(m) for m in firsts.values()]
     assert stats.classes == len(maps)

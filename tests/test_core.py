@@ -15,7 +15,6 @@ from semap import (
     canonical_form,
     face_sequence,
     is_d_covered,
-    is_orientable,
     normalize_face,
     seed_link,
     sem_vertex_count,
@@ -143,7 +142,7 @@ def test_counting_identities_on_catalog(all_catalog):
 
 def test_orientability_matches_brute_force_on_small_maps(tetrahedron, cube, rp2, octahedron):
     for m in (tetrahedron, cube, rp2, octahedron):
-        assert is_orientable(m) == brute_force_orientable(m), m.name
+        assert surface_profile(m).orientable == brute_force_orientable(m), m.name
 
 
 def test_orientability_invariant_under_relabeling(all_catalog):
@@ -153,7 +152,7 @@ def test_orientability_invariant_under_relabeling(all_catalog):
         for _ in range(5):
             perm = list(range(entry.map.n))
             rng.shuffle(perm)
-            assert is_orientable(entry.map.relabel(perm)) == want
+            assert surface_profile(entry.map.relabel(perm)).orientable == want
 
 
 TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -176,7 +175,7 @@ TETRA = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
         "1-face-edge-before-3-face-edge", "3-face-edge-before-1-face-edge"])
 def test_one_check_refuses_maps_that_are_not_closed(faces, n, message):
     # the first bad face, else the first bad edge in the order the faces list them
-    for fn in (canonical_form, is_orientable, surface_profile):
+    for fn in (canonical_form, surface_profile):
         with pytest.raises(ValueError) as info:
             fn(PolyhedralMap(faces, n=n))
         assert str(info.value) == message, fn.__name__
@@ -349,6 +348,14 @@ def test_link_rotation_reflection_identified():
 def test_unknown_vertex_raises(k1):
     with pytest.raises(KeyError):
         vertex_link(k1, 99)
+
+
+def test_link_refuses_fewer_than_three_corners():
+    # two triangles on the same three vertices close a two-corner cycle round 0
+    with pytest.raises(ValueError, match=re.escape("vertex 0 has 2 corners, need >= 3")):
+        vertex_link(PolyhedralMap([(0, 1, 2), (0, 2, 1), (1, 2, 3)], n=4), 0)
+    with pytest.raises(ValueError, match=re.escape("vertex 5 has 2 corners, need >= 3")):
+        VertexLink.from_corners(5, [(1, 2), (2, 1)])
 
 
 def test_link_refuses_faces_that_repeat_a_vertex():

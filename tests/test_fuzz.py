@@ -217,6 +217,8 @@ def reference_vertex_link(m: PolyhedralMap, v: int):
         corners.append(paths[fi] if paths[fi][0] == w else paths[fi][::-1])
     if len(corners) != len(paths):
         return f"link of vertex {v} is not a single closed cycle"
+    if len(corners) < 3:
+        return f"link of vertex {v} has {len(corners)} corners, need >= 3"
     flipped = [c[::-1] for c in corners[::-1]]
     return min(tuple(c[j:] + c[:j]) for c in (corners, flipped) for j in range(len(c)))
 
@@ -237,6 +239,7 @@ def agrees_with_the_references(m: PolyhedralMap) -> None:
 @given(st.one_of(mutated_maps(), pinched_unions()))
 @example(duplicated_twice("K3", 20))
 @example(PolyhedralMap(catalog_map("tetrahedron").faces, n=5))  # vertex 4 on no face
+@example(PolyhedralMap([(0, 1, 2), (0, 2, 1), (1, 2, 3)], n=4))  # two corners at 0, 1 and 2
 @settings(max_examples=200, deadline=None)
 def test_validate_and_links_match_the_reference(m):
     agrees_with_the_references(m)

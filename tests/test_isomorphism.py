@@ -23,7 +23,6 @@ from semap import (
     is_vertex_transitive,
     isomorphism,
     link_vertex_set,
-    neighbor_set,
     normalize_face,
     stack_faces,
     validate,
@@ -31,6 +30,7 @@ from semap import (
 from semap.core import FlagTemplate, closed_flags
 from semap.isomorphism import class_key
 from oracles import (
+    automorphism_count,
     brute_force_automorphisms,
     brute_force_isomorphism,
     neighbor_oracle,
@@ -49,33 +49,33 @@ def shuffled(m, rng):
 
 def test_neighbor_set_of_k1_vertex_0(k1):
     # the quadrangle 0-2-3-4 contributes only 2 and 4 as neighbors of 0
-    assert neighbor_set(k1, 0) == {1, 2, 4, 5, 6, 7}
+    assert k1.neighbors[0] == {1, 2, 4, 5, 6, 7}
 
 
 def test_neighbor_set_of_tetrahedron(tetrahedron):
-    assert neighbor_set(tetrahedron, 0) == {1, 2, 3}
+    assert tetrahedron.neighbors[0] == {1, 2, 3}
 
 
 def test_neighbor_set_of_t1_vertex_0(t1):
-    assert neighbor_set(t1, 0) == {1, 2, 4, 6, 7, 13}
+    assert t1.neighbors[0] == {1, 2, 4, 6, 7, 13}
 
 
 def test_neighbor_sets_match_oracle(all_catalog):
     for entry in all_catalog:
         for v in range(entry.map.n):
-            assert neighbor_set(entry.map, v) == neighbor_oracle(entry.map, v)
+            assert entry.map.neighbors[v] == neighbor_oracle(entry.map, v)
 
 
 def test_link_set_adds_quad_opposites(k1):
     # link cycle of 0 passes through 3, the vertex opposite 0 in the quad
     assert link_vertex_set(k1, 0) == {1, 2, 3, 4, 5, 6, 7}
-    assert link_vertex_set(k1, 0) - neighbor_set(k1, 0) == {3}
+    assert link_vertex_set(k1, 0) - k1.neighbors[0] == {3}
 
 
 def test_link_set_equals_neighbors_on_triangulations(tetrahedron, rp2):
     for m in (tetrahedron, rp2):
         for v in range(m.n):
-            assert link_vertex_set(m, v) == neighbor_set(m, v)
+            assert link_vertex_set(m, v) == m.neighbors[v]
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +462,14 @@ def test_automorphisms_match_brute_force(tetrahedron, cube, octahedron, rp2):
         brute = brute_force_automorphisms(m)
         assert group.order == len(brute)
         assert set(group.elements) == set(brute)
+
+
+def test_automorphism_count_oracle_agrees(tetrahedron, cube, octahedron, rp2, all_catalog):
+    # the propagating oracle against the n! one, then against the group on every map
+    for m in (tetrahedron, cube, octahedron, rp2):
+        assert automorphism_count(m) == len(brute_force_automorphisms(m)), m.name
+    for entry in all_catalog:
+        assert automorphism_count(entry.map) == automorphism_group(entry.map).order, entry.name
 
 
 def test_k_maps_not_vertex_transitive(k1, k2, k3):
