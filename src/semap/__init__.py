@@ -5,6 +5,9 @@ surgery, and an exhaustive census of semi-equivelar maps.  The census
 keeps one map per canonical form; the triangle cylinder search compares
 canonical forms only where two class keys meet; the quadrangle cylinder
 search builds one gluing per class.
+
+``__all__`` holds every class and each function that the CLI, the demos,
+the acceptance tests or the benchmark call.
 """
 
 from .core import (
@@ -21,8 +24,6 @@ from .core import (
     face_sequence,
     face_sequence_classes,
     is_d_covered,
-    normalize_face,
-    same_face,
     sem_vertex_count,
     semi_equivelar_type,
     surface_profile,
@@ -35,25 +36,22 @@ from .isomorphism import (
     are_isomorphic,
     automorphism_group,
     canonical_form,
-    canonical_map,
     g_t_graph,
     is_vertex_transitive,
     isomorphism,
-    link_vertex_set,
 )
 from .catalog import CatalogEntry, ExpectedProfile, catalog, catalog_map
 from .census import (
     LinkContradiction,
     PartialMap,
     SearchStats,
-    assume_link,
     complete_search,
     corner_arrangements,
     enumerate_sems,
     seed_link,
     seed_partial,
 )
-from .mapio import MapFormatError, load_map, map_from_json, map_to_json, parse_map, serialize_map
+from .mapio import MapFormatError, load_map, map_to_json, parse_map, serialize_map
 from .transforms import (
     CoveringWitness,
     CylinderProvenance,
@@ -81,8 +79,6 @@ __all__ = [
     "face_sequence",
     "face_sequence_classes",
     "is_d_covered",
-    "normalize_face",
-    "same_face",
     "sem_vertex_count",
     "semi_equivelar_type",
     "surface_profile",
@@ -93,11 +89,9 @@ __all__ = [
     "are_isomorphic",
     "automorphism_group",
     "canonical_form",
-    "canonical_map",
     "g_t_graph",
     "is_vertex_transitive",
     "isomorphism",
-    "link_vertex_set",
     "CatalogEntry",
     "ExpectedProfile",
     "catalog",
@@ -105,7 +99,6 @@ __all__ = [
     "LinkContradiction",
     "PartialMap",
     "SearchStats",
-    "assume_link",
     "complete_search",
     "corner_arrangements",
     "enumerate_sems",
@@ -113,7 +106,6 @@ __all__ = [
     "seed_partial",
     "MapFormatError",
     "load_map",
-    "map_from_json",
     "map_to_json",
     "parse_map",
     "serialize_map",

@@ -114,9 +114,6 @@ class PartialMap:
         """The edges that lie in exactly one face, each as (low, high)."""
         return {(v, w) for v, ends in self.arcs.items() for w in ends if v < w}
 
-    def is_complete(self) -> bool:
-        return bool(self.faces) and not any(self.arcs.values())
-
     # -- commits -----------------------------------------------------------
 
     def add_face(self, face: Face) -> None:

@@ -63,11 +63,6 @@ def normalize_face(face) -> Face:
     return min(s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(s)))
 
 
-def same_face(f: Face, g: Face) -> bool:
-    """Whether two vertex sequences denote the same undirected cycle."""
-    return len(f) == len(g) and normalize_face(f) == normalize_face(g)
-
-
 class PolyhedralMap:
     """Vertices ``0..n-1`` plus faces given as cyclic vertex sequences.
 

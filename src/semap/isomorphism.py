@@ -23,10 +23,10 @@ cylinder search asks for a cheap relabeling invariant first,
 new key is a new class.  The quadrangle cylinder search needs neither:
 each of its gluings is proved a new class.
 
-The canonical data of a map (form, relabeled faces, one labeling per
-minimal root) is computed at most once per :class:`PolyhedralMap` object
-and stored on that object, so every entry point shares it and it is freed
-with the map; no module-level cache holds maps.
+The canonical data of a map (its form and one labeling per minimal root)
+is computed at most once per :class:`PolyhedralMap` object and stored on
+that object, so every entry point shares it and it is freed with the map;
+no module-level cache holds maps.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import (
-    Edge, Face, PolyhedralMap, closed_flags, components, normalize_face, oriented_edge,
-)
+from .core import Edge, PolyhedralMap, closed_flags, components, normalize_face, oriented_edge
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +202,6 @@ def _walk(root: int, moves, best):
 @dataclass(frozen=True)
 class CanonData:
     form: bytes
-    canonical_faces: tuple[Face, ...]
     labelings: tuple[tuple[int, ...], ...]  # original vertex -> canonical label
 
 
@@ -251,7 +248,7 @@ def _compute_canonical(m: PolyhedralMap) -> CanonData:
     relabel = labelings[0].__getitem__
     faces = tuple(sorted(normalize_face(tuple(map(relabel, f))) for f in m.faces))
     form = f"{m.n}|" + ";".join(",".join(map(str, f)) for f in faces)
-    return CanonData(form=form.encode(), canonical_faces=faces, labelings=tuple(labelings))
+    return CanonData(form=form.encode(), labelings=tuple(labelings))
 
 
 def _canonical_data(m: PolyhedralMap) -> CanonData:
@@ -274,12 +271,6 @@ def canonical_form(m: PolyhedralMap) -> bytes:
     long as the map object, and an equal but distinct map computes its own.
     """
     return _canonical_data(m).form
-
-
-def canonical_map(m: PolyhedralMap) -> PolyhedralMap:
-    """The canonically relabeled representative of the isomorphism class."""
-    data = _canonical_data(m)
-    return PolyhedralMap(data.canonical_faces, n=m.n, name=m.name)
 
 
 def isomorphism(m1: PolyhedralMap, m2: PolyhedralMap) -> dict[int, int] | None:

@@ -21,7 +21,6 @@ from .core import (
     components,
     normalize_face,
     orientable,
-    same_face,
     sem_vertex_count,
     semi_equivelar_type,
     surface_profile,
@@ -216,7 +215,7 @@ def add_cylinder(map_a: PolyhedralMap, spec: CylinderSpec,
             tuple(v + map_a.n for v in f) for f in map_b.faces
         ]
         n = map_a.n + map_b.n
-    if same_face(fa, fb):
+    if normalize_face(fa) == normalize_face(fb):
         raise TransformError("cannot glue a face to itself")
     if set(fa) & set(fb):
         raise TransformError(f"faces {fa} and {fb} share vertices {sorted(set(fa) & set(fb))}")
@@ -409,17 +408,17 @@ class _Multiset:
         return out
 
     def pairings(self, n_cyl: int, kind: str) -> list[tuple]:
-        """The admissible pairings of ``n_cyl`` cylinders: disjoint site
-        pairs joining every copy to the first.  Sites are all quadrangles
-        (quad) or a vertex partition into triangles (tri).
+        """The admissible pairings of ``n_cyl`` cylinders: site pairs joining
+        every copy to the first.  Sites are all quadrangles (quad) or a vertex
+        partition into triangles (tri), pairwise disjoint (:meth:`screen`).
 
         Pairs are sorted tuples of normalised sites, in sorted order, and
         the list is sorted by (same-copy pair count, pairing): same-copy
         pairs are heavily constrained (their walls tend to hit existing
         edges), so a truncated search reaches productive gluings early.
-        Symmetries keep site sets, disjointness, that count and a connected
-        copy graph, so the list is closed under them, and the first of an
-        orbit in any prefix of it is its least: the one :meth:`admit` admits.
+        Symmetries keep site sets, that count and a connected copy graph, so
+        the list is closed under them, and the first of an orbit in any
+        prefix of it is its least: the one :meth:`admit` admits.
         """
         if kind == "quad":
             site_sets = [sorted(f for f in self.union.face_keys if len(f) == 4)]
@@ -429,8 +428,6 @@ class _Multiset:
         out = []
         for sites in (s for s in site_sets if len(s) == 2 * n_cyl):
             for pairing in _perfect_matchings(sites):
-                if any(set(a) & set(b) for a, b in pairing):
-                    continue
                 joined = components(len(self.bases), ((copy_of[a[0]], copy_of[b[0]])
                                                       for a, b in pairing))
                 if not any(joined):  # every copy is joined to the first one

@@ -10,11 +10,17 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from semap import PolyhedralMap, normalize_face
+from semap import PolyhedralMap
+
+
+def face_key(face) -> tuple[int, ...]:
+    """The least of every rotation of the face and of its reverse."""
+    seq = tuple(face)
+    return min(s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq)))
 
 
 def face_set(m: PolyhedralMap) -> frozenset:
-    return frozenset(normalize_face(f) for f in m.faces)
+    return frozenset(face_key(f) for f in m.faces)
 
 
 def brute_force_isomorphism(m1: PolyhedralMap, m2: PolyhedralMap):
@@ -30,7 +36,7 @@ def brute_force_isomorphism(m1: PolyhedralMap, m2: PolyhedralMap):
         return None
     for perm in permutations(range(m2.n)):
         mapped = frozenset(
-            normalize_face(tuple(perm[v] for v in f)) for f in m1.faces)
+            face_key(tuple(perm[v] for v in f)) for f in m1.faces)
         if mapped == target:
             return dict(enumerate(perm))
     return None
@@ -42,7 +48,7 @@ def brute_force_automorphisms(m: PolyhedralMap) -> list[tuple[int, ...]]:
     out = []
     for perm in permutations(range(m.n)):
         mapped = frozenset(
-            normalize_face(tuple(perm[v] for v in f)) for f in m.faces)
+            face_key(tuple(perm[v] for v in f)) for f in m.faces)
         if mapped == target:
             out.append(perm)
     return out

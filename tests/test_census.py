@@ -14,19 +14,18 @@ from semap import (
     PartialMap,
     VertexLink,
     are_isomorphic,
-    assume_link,
     canonical_form,
     complete_search,
     corner_arrangements,
     enumerate_sems,
-    normalize_face,
     seed_link,
     seed_partial,
     semi_equivelar_type,
     surface_profile,
 )
 from semap import census
-from semap.census import PRUNE_REASONS
+from semap.census import PRUNE_REASONS, assume_link
+from semap.core import normalize_face
 
 T354 = FaceSequence.from_string("3^5,4")
 

@@ -15,7 +15,6 @@ from semap import (
     canonical_form,
     face_sequence,
     is_d_covered,
-    normalize_face,
     seed_link,
     sem_vertex_count,
     semi_equivelar_type,
@@ -24,7 +23,7 @@ from semap import (
     validate,
     vertex_link,
 )
-from semap.core import FlagTemplate, closed_flags, components, face_edges
+from semap.core import FlagTemplate, closed_flags, components, face_edges, normalize_face
 from oracles import (
     brute_force_orientable,
     degree_by_faces,

@@ -22,7 +22,6 @@ from semap import (
     catalog_map,
     double_cover,
     is_d_covered,
-    link_vertex_set,
     map_to_json,
     stack_faces,
     surface_profile,
@@ -30,6 +29,7 @@ from semap import (
     vertex_link,
 )
 from semap.cli import main
+from semap.isomorphism import link_vertex_set
 from oracles import link_oracle
 
 MUTATIONS = ("drop", "duplicate", "swap", "out-of-range", "repeat")

@@ -5,12 +5,12 @@ import pytest
 from semap import (
     MapFormatError,
     load_map,
-    map_from_json,
     map_to_json,
     parse_map,
     serialize_map,
     validate,
 )
+from semap.mapio import map_from_json
 
 K1_TEXT = """\
 # census entry with letter aliases

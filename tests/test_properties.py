@@ -7,10 +7,10 @@ from semap import (
     canonical_form,
     catalog_map,
     g_t_graph,
-    normalize_face,
     semi_equivelar_type,
     surface_profile,
 )
+from semap.core import normalize_face
 
 
 @st.composite

@@ -574,6 +574,26 @@ def test_search_refuses_an_invalid_base(k1):
     assert {p for _, p in via_k1} == joined
 
 
+@pytest.mark.parametrize("names, kind, target, chi, units", [
+    pytest.param(("k1",), "quad", T45, -8, 15, id="k1-quad"),
+    pytest.param(("k1", "k2", "k3"), "quad", T45, -8, 90, id="k1+k2+k3-quad"),
+    pytest.param(("k1", "k2", "k3"), "tri", T37, -10, 4224, id="k1+k2+k3-tri"),
+])
+def test_the_sites_of_every_pairing_cover_each_vertex_once(request, names, kind, target, chi,
+                                                          units):
+    # the premise of the screen's proof, so pairings need no disjointness filter: the
+    # sites are pairwise vertex-disjoint and together hold every vertex of the union
+    from semap.transforms import _combo_units
+
+    bases = [request.getfixturevalue(name) for name in names]
+    seen = 0
+    for multiset, pairing in _combo_units(bases, target, chi, kind):
+        sites = [site for pair in pairing for site in pair]
+        assert sorted(v for site in sites for v in site) == list(range(multiset.n)), pairing
+        seen += 1
+    assert seen == units
+
+
 def test_units_of_one_base_multiset_share_one_multiset(k1, k3):
     from semap.transforms import _combo_units
 
