@@ -81,7 +81,7 @@ class PartialMap:
     The arcs also give the open edges, the sites the search may still
     extend: an edge v-w lies in exactly one face iff w ends an arc at v (a
     corner covers the two edges it touches, and no edge lies in more than
-    two faces).  So no edge set is stored; ``open_edges`` reads them off
+    two faces).  So no edge set is stored: the search reads its sites off
     ``arcs``, and the map is complete once it has a face and no vertex has
     an open arc.
 
@@ -102,17 +102,6 @@ class PartialMap:
         self.size_used: dict[int, dict[int, int]] = {v: {} for v in range(n)}
         self.arcs: dict[int, dict[int, int]] = {v: {} for v in range(n)}
         self._trail: list[list] = []
-
-    # -- queries ----------------------------------------------------------
-
-    @property
-    def used_vertices(self) -> list[int]:
-        return sorted(self.vertex_faces)
-
-    @property
-    def open_edges(self) -> set[tuple[int, int]]:
-        """The edges that lie in exactly one face, each as (low, high)."""
-        return {(v, w) for v, ends in self.arcs.items() for w in ends if v < w}
 
     # -- commits -----------------------------------------------------------
 
@@ -353,7 +342,7 @@ def _candidate_faces(partial: PartialMap, v: int, w: int) -> list[Face]:
         if nfresh < len(fresh):
             extend(path + [fresh[nfresh]], left - 1, nfresh + 1, pool)
 
-    used = partial.used_vertices
+    used = sorted(faces_at)
     for s in sizes:
         # used labels with an s-gon slot left
         pool = [x for x in used if size_used[x].get(s, 0) < target[s]]

@@ -7,12 +7,17 @@ pure function over immutable :class:`PolyhedralMap` instances.
 
 The flag system encodes a closed map as three involutions on its
 (vertex, edge, face) flags, and :class:`FlagTemplate` is the one pass over
-the faces that builds it: ``validate`` reads edge degrees, links and
-connectivity off one template, and :func:`closed_flags` (the flags plus
-the check that the map is closed) serves orientability, double covers and
-canonical forms.  The cylinder search builds no flags per gluing: its
-screen proves each gluing closed.  :func:`components` is the one
-union-find for every connectivity question.
+the faces that numbers them and the edge states: ``validate`` reads edge
+degrees, links and connectivity off one template, and :func:`closed_flags`
+(the flags plus the check that the map is closed) serves orientability,
+double covers and canonical forms.  The cylinder search builds no flags
+per gluing: its screen proves each gluing closed.  :func:`components` is
+the one union-find for every connectivity question.
+
+Each fact about a map has one owner: :attr:`PolyhedralMap.face_keys`
+holds the normalised faces, :meth:`PolyhedralMap.relabel` gives a face
+set's image under a vertex map, and a :class:`SurfaceProfile` derives chi
+from its counts.
 """
 
 from __future__ import annotations
@@ -115,9 +120,7 @@ class PolyhedralMap:
         return len(self.neighbors[v])
 
     def relabel(self, perm, name: str = "") -> "PolyhedralMap":
-        """Apply a vertex permutation (dict or sequence old->new)."""
-        if not isinstance(perm, dict):
-            perm = {i: p for i, p in enumerate(perm)}
+        """Apply a vertex map (dict or sequence old->new) to every face."""
         faces = [tuple(perm[v] for v in face) for face in self.faces]
         return PolyhedralMap(faces, n=self.n, name=name or self.name)
 
@@ -153,12 +156,12 @@ class FlagTemplate:
     the next vertex, flag ``b + 2*i + 1`` the edge to the previous one.
     ``s2`` pairs the flags of the first two faces on an edge and fixes the
     rest, unread where an edge lies in three or more faces (``validate``
-    walks no orbit there).  ``fv[x]`` is the vertex of flag ``x``,
-    ``flen[x]`` the size of its face, and ``neighbours[v]`` the vertices
-    joined to ``v`` by an edge.  ``sides`` holds one state per edge
-    ``a*n + b`` (``a < b``), in the order the faces list the edges: its
-    flag at ``a`` if it lies in one face, else minus the number of faces
-    it lies in.
+    walks no orbit there).  ``fv[x]`` is the vertex of flag ``x`` and
+    ``flen[x]`` the size of its face; ``fv[s0[x]]`` is the vertex joined to
+    it along the flag's edge.  ``sides`` holds one state per edge ``a*n +
+    b`` (``a < b``), in the order the faces list the edges: its flag at
+    ``a`` if it lies in one face, else minus the number of faces it lies
+    in.  The template numbers flags and edge states and nothing else.
 
     The faces are those of a :class:`PolyhedralMap` on ``n`` vertices, so
     their labels lie in ``0..n-1``.  The constructor raises
@@ -186,27 +189,23 @@ class FlagTemplate:
         self.s0, self.s1, self.s2 = s0, [x ^ 1 for x in range(nflags)], list(range(nflags))
         self.fv = list(chain.from_iterable(zip(corners, corners)))
         self.flen = list(chain.from_iterable([k] * (2 * k) for k in sizes))
-        self.neighbours: list[set[int]] = [set() for _ in range(n)]
         self.sides: dict[int, int] = {}
-        sides, neighbours, s2 = self.sides, self.neighbours, self.s2
+        sides, s2 = self.sides, self.s2
         ahead = chain.from_iterable(f[1:] + f[:1] for f in faces)
         for x, v, w in zip(count(0, 2), corners, ahead):
             if v > w:
                 v, w, x = w, v, s0[x]
             e = v * n + w
             p = sides.setdefault(e, x)
-            if p == x:
-                neighbours[v].add(w)
-                neighbours[w].add(v)
-            elif p >= 0:  # pair the two sides, at both ends of the edge
+            if p < 0:
+                sides[e] = p - 1
+            elif p != x:  # pair the two sides, at both ends of the edge
                 sides[e], q, y = -2, s0[p], s0[x]
                 s2[p], s2[x], s2[q], s2[y] = x, p, y, q
-            else:
-                sides[e] = p - 1
 
 
 def closed_flags(m: PolyhedralMap):
-    """``(moves, fv, flen, neighbours)`` of a closed map from its
+    """``(moves, fv, flen)`` of a closed map from its
     :class:`FlagTemplate`, with ``moves[x] = (s0[x], s1[x], s2[x])``.
     Raises :class:`ValueError` unless ``m`` has a face and is closed: at
     the first face that is not a polygon on ``0..n-1``, else at the first
@@ -219,7 +218,7 @@ def closed_flags(m: PolyhedralMap):
         if p != -2:
             raise ValueError(f"not a closed map: edge {divmod(e, m.n)} lies in "
                              f"{1 if p >= 0 else -p} face(s)")
-    return list(zip(t.s0, t.s1, t.s2)), t.fv, t.flen, t.neighbours
+    return list(zip(t.s0, t.s1, t.s2)), t.fv, t.flen
 
 
 def components(size: int, pairs) -> list[int]:
@@ -393,19 +392,6 @@ class VertexLink:
     def degree(self) -> int:
         return len(self.corners)
 
-    @property
-    def cycle(self) -> tuple[tuple[int, int], ...]:
-        """(first link vertex, face size) per corner, in cyclic order."""
-        return tuple((c[0], len(c) + 1) for c in self.corners)
-
-    @property
-    def link_vertices(self) -> tuple[int, ...]:
-        """The link cycle as a plain vertex sequence."""
-        out: list[int] = []
-        for c in self.corners:
-            out.extend(c[:-1])
-        return tuple(out)
-
     def faces(self) -> tuple[Face, ...]:
         """The faces this link asserts around the center."""
         return tuple((self.center,) + c for c in self.corners)
@@ -422,7 +408,7 @@ class VertexLink:
         tokens += [str(list(c)) if len(c) > 2 else str(c[1]) for c in order]
         if len(order[-1]) == 2:
             tokens.pop()
-        return f"C{len(self.link_vertices)}(" + ", ".join(tokens) + ")"
+        return f"C{sum(len(c) - 1 for c in self.corners)}(" + ", ".join(tokens) + ")"
 
 
 def vertex_link(m: PolyhedralMap, v: int) -> VertexLink:
@@ -559,8 +545,8 @@ def validate(m: PolyhedralMap) -> ValidationReport:
             wellformed.append((i, face))
 
     seen: dict[Face, int] = {}
-    for i, face in wellformed:
-        key = normalize_face(face)
+    for i, _ in wellformed:
+        key = m.face_keys[i]
         if key in seen:
             out.append(Violation(
                 "duplicate-face",
@@ -636,7 +622,7 @@ def validate(m: PolyhedralMap) -> ValidationReport:
         edges = [divmod(e, m.n) for e in t.sides]
         start = min(e[0] for e in edges)
         label = components(m.n, edges)
-        unreachable = sum(1 for v in range(m.n) if t.neighbours[v] and label[v] != start)
+        unreachable = sum(1 for v in range(m.n) if good.vertex_faces[v] and label[v] != start)
         if unreachable:
             out.append(Violation(
                 "connectivity",
@@ -652,16 +638,14 @@ def validate(m: PolyhedralMap) -> ValidationReport:
 
 @dataclass(frozen=True)
 class SurfaceProfile:
-    euler_characteristic: int
     orientable: bool
     vertex_count: int
     edge_count: int
     face_count: int
 
-    def __post_init__(self):
-        v, e, f = self.vertex_count, self.edge_count, self.face_count
-        if self.euler_characteristic != v - e + f:
-            raise ValueError("chi must equal V - E + F")
+    @property
+    def euler_characteristic(self) -> int:
+        return self.vertex_count - self.edge_count + self.face_count
 
     def __str__(self) -> str:
         o = "orientable" if self.orientable else "non-orientable"
@@ -695,11 +679,5 @@ def surface_profile(m: PolyhedralMap) -> SurfaceProfile:
     (:func:`closed_flags`), where neither number means anything.
     """
     moves = closed_flags(m)[0]
-    v, e, f = m.n, len(moves) // 4, len(m.faces)
-    return SurfaceProfile(
-        euler_characteristic=v - e + f,
-        orientable=orientable(moves),
-        vertex_count=v,
-        edge_count=e,
-        face_count=f,
-    )
+    return SurfaceProfile(orientable=orientable(moves), vertex_count=m.n,
+                          edge_count=len(moves) // 4, face_count=len(m.faces))

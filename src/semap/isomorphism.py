@@ -13,9 +13,11 @@ precisely an isomorphism.  Roots with minimal code are in bijection with
 the automorphism group (an automorphism fixing a flag is the identity).
 
 The flags come from one pass over the faces, :func:`semap.core.closed_flags`,
-which also checks the map is closed.  The root filter keys each face size
-and vertex once, and the walk from each root stops at its first step worse
-than the best code so far.
+which also checks the map is closed.  The root filter reads the vertex
+graph off ``s0`` and keys each face size and vertex once, and the walk
+from each root stops at its first step worse than the best code so far.
+The form's faces, and the check of an isomorphism's witness, come from
+:meth:`PolyhedralMap.relabel`; a group's order is its element count.
 
 The census keys its complete maps by canonical form.  The triangle
 cylinder search asks for a cheap relabeling invariant first,
@@ -143,8 +145,7 @@ def _meets(neighbours) -> list[tuple[int, ...]]:
 
 def class_key(neighbours) -> int:
     """A relabeling-invariant hash of the graph with ``neighbours[v]`` the
-    set of vertices joined to ``v`` (``v`` in ``0..n-1``, as
-    :func:`semap.core.closed_flags` gives it): colour refinement
+    set of vertices joined to ``v`` (``v`` in ``0..n-1``): colour refinement
     (B. D. McKay, Congr. Numer. 30, 1981).  Each vertex starts with its
     :func:`_meets` profile; four rounds then hash each colour with the sum
     of its neighbours' colours, and the key hashes the sorted colours.
@@ -205,16 +206,20 @@ class CanonData:
     labelings: tuple[tuple[int, ...], ...]  # original vertex -> canonical label
 
 
-def _roots(fv, flen, neighbours) -> list[int]:
+def _roots(moves, fv, flen, n: int) -> list[int]:
     """Flags to root the walk at, ascending: those on faces of the rarest
     size (by flag count), then at vertices of the rarest fingerprint among
     them (incident face sizes plus neighbourhood intersection profile).
     Both filters are invariant under relabeling, so isomorphic maps restrict
     to corresponding flag sets, and the automorphism group still acts on the
-    result (its minimal flags remain a single free orbit)."""
+    result (its minimal flags remain a single free orbit).  The vertex
+    graph is read off ``s0``: ``fv[x]`` is joined to ``fv[s0[x]]``."""
     flag_count = Counter(flen)
     size = min(flag_count, key=lambda k: (flag_count[k], k))
-    sizes: list[list[int]] = [[] for _ in neighbours]
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    sizes: list[list[int]] = [[] for _ in range(n)]
+    for v, move in zip(fv, moves):
+        neighbours[v].add(fv[move[0]])
     for v, k in zip(fv[::2], flen[::2]):
         sizes[v].append(k)
     sig = [(tuple(sorted(s)), meets) for s, meets in zip(sizes, _meets(neighbours))]
@@ -227,9 +232,9 @@ def _roots(fv, flen, neighbours) -> list[int]:
 def _compute_canonical(m: PolyhedralMap) -> CanonData:
     """The canonical data of ``m``; raises :class:`ValueError` unless ``m``
     is closed and connected, with every vertex on a face."""
-    moves, fv, flen, neighbours = closed_flags(m)
+    moves, fv, flen = closed_flags(m)
     best, best_queues = None, []
-    for root in _roots(fv, flen, neighbours):
+    for root in _roots(moves, fv, flen, m.n):
         verdict, code, queue = _walk(root, moves, best)
         if verdict == 1:
             continue
@@ -245,8 +250,7 @@ def _compute_canonical(m: PolyhedralMap) -> CanonData:
             raise ValueError("canonical form needs every vertex on a face")
         label = {v: c for c, v in enumerate(first)}
         labelings.append(tuple(label[v] for v in range(m.n)))
-    relabel = labelings[0].__getitem__
-    faces = tuple(sorted(normalize_face(tuple(map(relabel, f))) for f in m.faces))
+    faces = sorted(m.relabel(labelings[0]).face_keys)
     form = f"{m.n}|" + ";".join(",".join(map(str, f)) for f in faces)
     return CanonData(form=form.encode(), labelings=tuple(labelings))
 
@@ -276,7 +280,7 @@ def canonical_form(m: PolyhedralMap) -> bytes:
 def isomorphism(m1: PolyhedralMap, m2: PolyhedralMap) -> dict[int, int] | None:
     """A vertex bijection carrying the faces of m1 onto the faces of m2, or None.
 
-    The witness is re-verified against the raw face sets before being
+    The witness is re-verified (``m1.relabel(witness) == m2``) before being
     returned; a failure there would mean a canonicalization bug.
     """
     if m1.n != m2.n or len(m1.faces) != len(m2.faces):
@@ -288,8 +292,7 @@ def isomorphism(m1: PolyhedralMap, m2: PolyhedralMap) -> dict[int, int] | None:
     lab1 = d1.labelings[0]
     inv2 = {c: v for v, c in enumerate(d2.labelings[0])}
     witness = {v: inv2[lab1[v]] for v in range(m1.n)}
-    mapped = {normalize_face(tuple(witness[v] for v in f)) for f in m1.faces}
-    if mapped != set(m2.face_keys):
+    if m1.relabel(witness) != m2:
         raise RuntimeError("internal error: canonical forms agree but witness fails")
     return witness
 
@@ -308,8 +311,11 @@ class AutomorphismGroup:
 
     elements: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[int, ...], ...]
-    order: int
     orbits: tuple[tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
 
 def _compose(p, q):
@@ -361,7 +367,6 @@ def automorphism_group(m: PolyhedralMap) -> AutomorphismGroup:
     return AutomorphismGroup(
         elements=tuple(elements),
         generators=tuple(gens),
-        order=len(elements),
         orbits=tuple(tuple(o) for o in orbits.values()),
     )
 

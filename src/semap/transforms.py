@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import (
     accumulate, chain, combinations_with_replacement, groupby, permutations, product, zip_longest,
 )
@@ -56,7 +56,7 @@ def double_cover(m: PolyhedralMap) -> tuple[PolyhedralMap, CoveringWitness]:
     report = validate(m)
     if not report.ok:
         raise TransformError(f"double cover needs a valid map, got: {report}")
-    moves, fv, _, _ = closed_flags(m)
+    moves, fv, _ = closed_flags(m)
     if orientable(moves):
         raise TransformError(
             "map is already orientable; its orientation cover is the disconnected "
@@ -88,7 +88,10 @@ def double_cover(m: PolyhedralMap) -> tuple[PolyhedralMap, CoveringWitness]:
 
 def verify_covering(cover: PolyhedralMap, base: PolyhedralMap,
                     witness: CoveringWitness) -> bool:
-    """Check a claimed covering: fold count, face lifting, local bijectivity."""
+    """Check a claimed covering: fold count, face lifting, local bijectivity.
+    Face images are read off ``cover.relabel(vm)`` only after the range and
+    fold checks, which put every image label below ``base.n`` and make
+    ``base.n * fold == cover.n``, so no label falls outside the cover's."""
     vm = witness.vertex_map
     if set(vm) != set(range(cover.n)):
         return False
@@ -100,21 +103,15 @@ def verify_covering(cover: PolyhedralMap, base: PolyhedralMap,
     if any(preimages.get(v, 0) != witness.fold for v in range(base.n)):
         return False
     base_keys = set(base.face_keys)
-    for face in cover.faces:
-        image = tuple(vm[v] for v in face)
-        if len(set(image)) != len(image):
-            return False
-        if normalize_face(image) not in base_keys:
-            return False
+    images = cover.relabel(vm).face_keys
+    if any(len(set(image)) != len(image) or image not in base_keys for image in images):
+        return False
     # Local bijectivity: the faces at each cover vertex map one-to-one onto
     # the faces at its image.
     for x in range(cover.n):
-        images = sorted(
-            normalize_face(tuple(vm[v] for v in cover.faces[fi]))
-            for fi in cover.vertex_faces[x]
-        )
+        upstairs = sorted(images[fi] for fi in cover.vertex_faces[x])
         downstairs = sorted(base.face_keys[fi] for fi in base.vertex_faces[vm[x]])
-        if images != downstairs:
+        if upstairs != downstairs:
             return False
     return True
 
@@ -187,9 +184,10 @@ def _wall_faces(a: Face, b: Face, offset: int, reflect: bool) -> list[Face]:
 
 
 def _find_face(m: PolyhedralMap, face) -> Face:
-    key = normalize_face(tuple(face))
+    """The first face of ``m`` that is a rotation or reflection of ``face``."""
+    turns = _turns(face)
     for f in m.faces:
-        if normalize_face(f) == key:
+        if f in turns:
             return f
     raise TransformError(f"face {tuple(face)} not present in {m!r}")
 
@@ -215,7 +213,7 @@ def add_cylinder(map_a: PolyhedralMap, spec: CylinderSpec,
             tuple(v + map_a.n for v in f) for f in map_b.faces
         ]
         n = map_a.n + map_b.n
-    if normalize_face(fa) == normalize_face(fb):
+    if fa == fb:  # ``_find_face`` gives the first face of a cycle: one cycle named twice
         raise TransformError("cannot glue a face to itself")
     if set(fa) & set(fb):
         raise TransformError(f"faces {fa} and {fb} share vertices {sorted(set(fa) & set(fb))}")
@@ -304,11 +302,16 @@ def _infer_kind(base_type: FaceSequence, target_type: FaceSequence) -> str | Non
     return None
 
 
+def _turns(face) -> set[Face]:
+    """Every rotation and reflection of ``face``."""
+    g = tuple(face)
+    return {h[i:] + h[:i] for h in (g, g[::-1]) for i in range(len(h))}
+
+
 def _without(faces, removed) -> list[Face]:
     """``faces`` less every rotation or reflection of a face in ``removed``;
     only the removed faces are turned, no face of ``faces`` is normalised."""
-    turns = {h[i:] + h[:i] for g in map(tuple, removed) for h in (g, g[::-1])
-             for i in range(len(h))}
+    turns = set().union(*map(_turns, removed))
     return [f for f in faces if f not in turns]
 
 
@@ -571,11 +574,11 @@ def _glued(neighbours, walls) -> tuple[tuple[int, frozenset[int]], ...]:
                  for v in sorted(set(chain.from_iterable(walls))))
 
 
-def _run_unit(sets, moves, feasible, kind: str) -> list[tuple]:
+def _run_unit(sets, moves, feasible) -> list[tuple]:
     """The orbit-least gluings of one slice of a unit, each as ``(key,
     choice)``: its gluing choice, with its :func:`class_key` on the triangle
-    kind and None on the quad kind, whose gluings are each a new class
-    (:class:`_Multiset`).
+    kind and None on the quad kind (``sets`` is None), whose gluings are
+    each a new class (:class:`_Multiset`).
 
     A slice fixes the gluing of the first site pair: ``feasible`` lists the
     gluing indices it allows per pair, all screened
@@ -593,7 +596,7 @@ def _run_unit(sets, moves, feasible, kind: str) -> list[tuple]:
     for choice in product(*feasible):
         if not _orbit_least(choice, moves):
             continue
-        if kind == "quad":
+        if sets is None:
             found.append((None, choice))
             continue
         glued = [None] * (6 * len(sets))
@@ -715,7 +718,6 @@ def cylinder_search(
         # ``product`` varies the first pair slowest
         slices.extend((multiset, kept, tables, sets, moves, [[first]] + rest) for first in ok[0])
 
-    run = partial(_run_unit, kind=kind)
     work = [[s[i] for s in slices] for i in range(3, 6)]  # what a worker receives
     by_key: dict[int, list[PolyhedralMap]] = {}  # triangle kind: the results per key
     with ExitStack() as stack:
@@ -725,7 +727,7 @@ def cylinder_search(
 
             pool = cf.ProcessPoolExecutor(max_workers=min(jobs, admitted))
             spread = stack.enter_context(pool).map
-        for (multiset, kept, tables, *_), found in zip(slices, spread(run, *work)):
+        for (multiset, kept, tables, *_), found in zip(slices, spread(_run_unit, *work)):
             stats.built += len(found)  # slices arrive in order
             for key, choice in found:
                 walls, specs = zip(*(table[g] for table, g in zip(tables, choice)))

@@ -54,6 +54,36 @@ def brute_force_automorphisms(m: PolyhedralMap) -> list[tuple[int, ...]]:
     return out
 
 
+def is_covering(cover_faces, base_faces, vertex_map, fold: int) -> bool:
+    """Whether ``vertex_map`` projects the cover onto the base ``fold``-to-one
+    as a covering, read off the raw face lists: it is defined on exactly the
+    cover's vertices, every base vertex has ``fold`` preimages and no other
+    label is hit, every cover face goes onto a base face (no two of its
+    vertices onto one), and at each cover vertex ``x`` the faces through
+    ``x`` go one-to-one onto the faces through its image.
+    """
+    cover_vertices = {v for f in cover_faces for v in f}
+    base_vertices = {v for f in base_faces for v in f}
+    if set(vertex_map) != cover_vertices:
+        return False
+    hits = [vertex_map[x] for x in sorted(cover_vertices)]
+    if set(hits) - base_vertices or any(hits.count(b) != fold for b in base_vertices):
+        return False
+    base_keys = [face_key(f) for f in base_faces]
+    for x in cover_vertices:
+        images = []
+        for f in cover_faces:
+            if x in f:
+                image = [vertex_map[v] for v in f]
+                if len(set(image)) != len(image) or face_key(image) not in base_keys:
+                    return False
+                images.append(face_key(image))
+        below = [k for k in base_keys if vertex_map[x] in k]
+        if sorted(images) != sorted(below):
+            return False
+    return True
+
+
 def brute_force_orientable(m: PolyhedralMap) -> bool:
     """Try all 2^F choices of boundary direction (F <= ~16)."""
     nf = len(m.faces)

@@ -249,9 +249,9 @@ def site_of(faces):
 
 
 def check_state(engine, p, faces):
-    """``open_edges`` holds the edges lying in one face, and ``_site``
-    picks the reference site, or None when no edge is open."""
-    assert p.open_edges == open_edges_of(faces)
+    """The edges read off ``arcs`` are those lying in one face, and
+    ``_site`` picks the reference site, or None when no edge is open."""
+    assert {(v, w) for v, ends in p.arcs.items() for w in ends if v < w} == open_edges_of(faces)
     assert engine._site(p) == site_of(faces)
 
 

@@ -24,7 +24,7 @@ from semap import (
     stack_faces,
     validate,
 )
-from semap.core import FlagTemplate, closed_flags, normalize_face
+from semap.core import FlagTemplate, normalize_face
 from semap.isomorphism import class_key, link_vertex_set
 from oracles import (
     automorphism_count,
@@ -160,6 +160,17 @@ def test_edge_in_four_faces_is_refused_not_a_key_error():
     for fn in (canonical_form, automorphism_group, is_vertex_transitive):
         with pytest.raises(ValueError, match="closed map"):
             fn(m)
+
+
+def test_canonical_form_leaves_only_its_canonical_data_on_the_map(all_catalog):
+    # the root filter reads the vertex graph off the flags, not off the map's
+    # cached ``neighbors``, which would stay on the map as long as it lives
+    rng = random.Random(7)
+    for entry in all_catalog:
+        m, _ = shuffled(entry.map, rng)
+        before = set(vars(m))
+        canonical_form(m)
+        assert set(vars(m)) == before | {"_canon_data"}, entry.name
 
 
 def test_canonical_form_refuses_disconnected_maps(tetrahedron):
@@ -341,7 +352,7 @@ def test_canonical_data_is_computed_once_per_map(k1, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def key_of(m):
-    return class_key(closed_flags(m)[3])
+    return class_key([m.neighbors[v] for v in range(m.n)])
 
 
 @given(st.data())
@@ -358,10 +369,9 @@ def test_class_key_does_not_depend_on_the_hash_seed(k1, k1_quad):
     maps = [k1, k1_quad[0][0]]
     code = ("import json, sys\n"
             "from semap import PolyhedralMap\n"
-            "from semap.core import closed_flags\n"
             "from semap.isomorphism import class_key\n"
             "maps = [PolyhedralMap(faces, n=n) for n, faces in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([class_key(closed_flags(m)[3]) for m in maps]))\n")
+            "print(json.dumps([class_key([m.neighbors[v] for v in range(m.n)]) for m in maps]))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     arg = json.dumps([[m.n, m.faces] for m in maps])

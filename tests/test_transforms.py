@@ -1,8 +1,10 @@
+import random
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
+from oracles import is_covering
 
 from semap import (
     CoveringWitness,
@@ -12,6 +14,7 @@ from semap import (
     TransformError,
     add_cylinder,
     are_isomorphic,
+    automorphism_group,
     canonical_form,
     cylinder_search,
     double_cover,
@@ -100,6 +103,49 @@ def test_verify_covering_via_isomorphism_to_catalog(t2, k2):
     composed = CoveringWitness(
         vertex_map={v: witness.vertex_map[iso[v]] for v in range(t2.n)}, fold=2)
     assert verify_covering(t2, k2, composed)
+
+
+def corruptions(witness, base_n, rng):
+    """Seeded corruptions of a witness: two images swapped (five times), one
+    vertex redirected, and the fold off by one either way."""
+    vm, out = witness.vertex_map, []
+    for _ in range(5):
+        x, y = rng.sample(sorted(vm), 2)
+        out.append(CoveringWitness({**vm, x: vm[y], y: vm[x]}, witness.fold))
+    x = rng.choice(sorted(vm))
+    out.append(CoveringWitness({**vm, x: rng.choice([b for b in range(base_n) if b != vm[x]])},
+                               witness.fold))
+    out += [CoveringWitness(vm, witness.fold + d) for d in (-1, 1)]
+    return out
+
+
+def test_verify_covering_agrees_with_the_oracle(request):
+    # the double covers of the non-orientable catalog maps, and the catalog tori
+    # T1 -> K1 and T2 -> K2 through them; each with seeded corruptions
+    cases = []
+    for name in ("k1", "k2", "k3", "rp2", "n_map"):
+        base = request.getfixturevalue(name)
+        cover, witness = double_cover(base)
+        cases.append((cover, base, witness))
+    for torus, (cover, base, witness) in zip(("t1", "t2"), cases):
+        torus = request.getfixturevalue(torus)
+        iso = isomorphism(torus, cover)
+        composed = {v: witness.vertex_map[iso[v]] for v in range(torus.n)}
+        cases.append((torus, base, CoveringWitness(composed, witness.fold)))
+    rng = random.Random(29)
+    for cover, base, witness in cases:
+        # a witness moved by a symmetry of the cover is a covering too
+        g = rng.choice(automorphism_group(cover).elements)
+        moved = {x: witness.vertex_map[g[x]] for x in range(cover.n)}
+        for vm in (witness.vertex_map, moved):
+            assert verify_covering(cover, base, CoveringWitness(vm, witness.fold))
+            assert is_covering(cover.faces, base.faces, vm, witness.fold)
+        refused = 0
+        for bad in corruptions(witness, base.n, rng):
+            got = verify_covering(cover, base, bad)
+            assert got == is_covering(cover.faces, base.faces, bad.vertex_map, bad.fold), bad
+            refused += not got
+        assert refused > 0, cover.name
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +397,7 @@ def test_no_flags_are_built_per_gluing(k1, monkeypatch):
     shared = {k for k, c in counts.items() if c > 1}
     assert forms[0] is base
     assert len(forms) - 1 == sum(counts[k] for k in shared) < 50
-    assert all(key(core.closed_flags(m)[3]) in shared for m in forms[1:])
+    assert all(key([m.neighbors[v] for v in range(m.n)]) in shared for m in forms[1:])
     # and one flag pass per call on the public path (a fresh map: nothing memoised)
     for fn in (canonical_form, surface_profile, validate):
         fresh = k1.relabel(list(range(k1.n)))
@@ -426,8 +472,8 @@ def test_slices_concatenate_to_the_whole_unit(k1):
     multiset, pairing = next(_combo_units([k1], T45, -8, "quad"))
     moves = multiset.admit(pairing, "quad")
     feasible = multiset.screen(pairing, "quad")
-    whole = _run_unit(None, moves, feasible, "quad")
-    parts = [_run_unit(None, moves, [[g]] + feasible[1:], "quad") for g in feasible[0]]
+    whole = _run_unit(None, moves, feasible)
+    parts = [_run_unit(None, moves, [[g]] + feasible[1:]) for g in feasible[0]]
     assert len(parts) > 1 and whole
     assert [f for p in parts for f in p] == whole
 
@@ -503,10 +549,9 @@ def test_keys_read_the_vertex_graph_of_the_built_map(request, monkeypatch, names
     # every screened gluing of the first unit (no moves, so none is skipped): the
     # neighbour sets its key reads, each pair's glued sets for its gluing (the union's
     # plus the walls' edges, made once per unit), are those of the map that gluing
-    # builds, read off that map's own flags
+    # builds, read off that map's own faces
     import sys
 
-    from semap.core import closed_flags
     from semap.transforms import _apply_bundle, _combo_units, _glued, _gluings, _run_unit
 
     keyed = []
@@ -517,14 +562,14 @@ def test_keys_read_the_vertex_graph_of_the_built_map(request, monkeypatch, names
     feasible = multiset.screen(pairing, "tri")
     sets = [{g: _glued(multiset.union.neighbors, walls) for g, walls in pair.items()}
             for pair in feasible]
-    found = _run_unit(sets, [], feasible, "tri")
+    found = _run_unit(sets, [], feasible)
     choices = list(product(*feasible))
     assert [choice for _, choice in found] == choices and len(keyed) == len(choices) > 0
     gluings = _gluings("tri")
     for neighbours, choice in zip(keyed, choices):
         specs = [CylinderSpec("tri", a, b, *gluings[g]) for (a, b), g in zip(pairing, choice)]
         built = PolyhedralMap(_apply_bundle(multiset.faces, specs), n=multiset.n)
-        assert neighbours == closed_flags(built)[3], specs
+        assert neighbours == [built.neighbors[v] for v in range(built.n)], specs
 
 
 def _unreduced_forms(bases, target, chi, kind, max_candidates):
