@@ -21,9 +21,11 @@ The form's faces, and the check of an isomorphism's witness, come from
 
 The census keys its complete maps by canonical form.  The triangle
 cylinder search asks for a cheap relabeling invariant first,
-:func:`class_key`, and a canonical form only when a key is seen again: a
-new key is a new class.  The quadrangle cylinder search needs neither:
-each of its gluings is proved a new class.
+:func:`class_key` (colour refinement of the vertex graph, given as
+neighbour bit masks and tuples, from meet counts to a stable partition),
+and a canonical form only when a key is seen again: a new key is a new
+class.  The quadrangle cylinder search needs neither: each of its gluings
+is proved a new class.
 
 The canonical data of a map (its form and one labeling per minimal root)
 is computed at most once per :class:`PolyhedralMap` object and stored on
@@ -137,27 +139,29 @@ def g_t_graph(m: PolyhedralMap, t: int, sets: str = "link") -> SimpleGraph:
 # Class keys
 # ---------------------------------------------------------------------------
 
-def _meets(neighbours) -> list[tuple[int, ...]]:
-    """For each vertex ``v``, the sorted counts ``len(N(v) & N(w))`` over
-    its neighbours ``w``."""
-    return [tuple(sorted([len(nv & neighbours[w]) for w in nv])) for nv in neighbours]
-
-
 def class_key(neighbours) -> int:
-    """A relabeling-invariant hash of the graph with ``neighbours[v]`` the
-    set of vertices joined to ``v`` (``v`` in ``0..n-1``): colour refinement
-    (B. D. McKay, Congr. Numer. 30, 1981).  Each vertex starts with its
-    :func:`_meets` profile; four rounds then hash each colour with the sum
-    of its neighbours' colours, and the key hashes the sorted colours.
+    """A relabeling-invariant hash of the graph with ``neighbours[v] ==
+    (mask, members)``, the bit mask and sorted tuple of ``v``'s neighbours
+    (``v`` in ``0..n-1``): colour refinement (B. D. McKay, Congr. Numer.
+    30, 1981) to a stable partition.  Each vertex starts with the hash of
+    its sorted meet counts ``(mask_v & mask_w).bit_count()`` over its
+    neighbours ``w``; each round hashes a colour with the sum of its
+    neighbours', until one splits no colour class (cell counts are
+    invariants); the key hashes the sorted colours.  (Summing
+    ``hash((c,))`` over the counts would merge {1, 4} and {2, 3}.)
 
     Isomorphic maps get equal keys, so a key not seen before proves a new
     class; equal keys prove nothing.  Only ints and tuples of ints are
     hashed, whose hashes do not depend on ``PYTHONHASHSEED``, so every
     process computes the same key.
     """
-    colour = [hash(meets) for meets in _meets(neighbours)]
-    for _ in range(4):
-        colour = [hash((c, sum(map(colour.__getitem__, nv)))) for c, nv in zip(colour, neighbours)]
+    masks = [mask for mask, _ in neighbours]
+    colour = [hash(tuple(sorted([(mv & masks[w]).bit_count() for w in ws])))
+              for mv, ws in neighbours]
+    cells = 0
+    while cells < (cells := len(set(colour))):  # the last round split a class
+        colour = [hash((c, sum(map(colour.__getitem__, ws))))
+                  for c, (_, ws) in zip(colour, neighbours)]
     return hash(tuple(sorted(colour)))
 
 
@@ -222,7 +226,8 @@ def _roots(moves, fv, flen, n: int) -> list[int]:
         neighbours[v].add(fv[move[0]])
     for v, k in zip(fv[::2], flen[::2]):
         sizes[v].append(k)
-    sig = [(tuple(sorted(s)), meets) for s, meets in zip(sizes, _meets(neighbours))]
+    meets = [tuple(sorted([len(nv & neighbours[w]) for w in nv])) for nv in neighbours]
+    sig = [(tuple(sorted(s)), m) for s, m in zip(sizes, meets)]
     sig_count = Counter(sig)
     key = [(sig_count[s], s) for s in sig]
     least = min(key[v] for v, k in zip(fv, flen) if k == size)

@@ -567,11 +567,13 @@ def _orbit_least(choice: tuple, moves) -> bool:
     return True
 
 
-def _glued(neighbours, walls) -> tuple[tuple[int, frozenset[int]], ...]:
+def _glued(neighbours, walls) -> list[tuple[int, tuple[int, tuple[int, ...]]]]:
     """Each vertex of the triangle ``walls`` with its neighbours once they
-    are glued: the union's ``neighbours`` and the walls' other vertices."""
-    return tuple((v, neighbours[v].union(*(w for w in walls if v in w)) - {v})
-                 for v in sorted(set(chain.from_iterable(walls))))
+    are glued, the union's ``neighbours`` and the walls' other vertices, as
+    :func:`class_key` reads them: ``(v, (mask, members))``."""
+    glued = [(v, neighbours[v].union(*(w for w in walls if v in w)) - {v})
+             for v in sorted(set(chain.from_iterable(walls)))]
+    return [(v, (sum(1 << w for w in nv), tuple(sorted(nv)))) for v, nv in glued]
 
 
 def _run_unit(sets, moves, feasible) -> list[tuple]:
@@ -585,10 +587,11 @@ def _run_unit(sets, moves, feasible) -> list[tuple]:
     (:meth:`_Multiset.screen`), which makes every combination a valid map
     of the target type.  Only those that no symmetry in ``moves`` maps onto
     a lesser one are kept, and nothing is built for them: no walls, no
-    flags, no spec, no map and no canonical form.  The key reads
-    ``sets[i][g]`` (None on the quad kind): the six vertices of pair ``i``
-    with their neighbours once gluing ``g`` is made (:func:`_glued`).  The
-    sites partition the vertices, so the chosen pairs' sets fill the vertex
+    flags, no spec, no map and no canonical form.  The key reads one list
+    per gluing, filled from ``sets[i][g]`` (None on the quad kind): the six
+    vertices of pair ``i``, each with the ``(mask, members)`` of its
+    neighbours once gluing ``g`` is made (:func:`_glued`).  The sites
+    partition the vertices, so the chosen pairs' entries fill the vertex
     graph, and it is the built map's: removing the sites loses no edge, as
     each site edge keeps the face across it (:meth:`_Multiset.screen`).
     """
@@ -632,9 +635,10 @@ def cylinder_search(
     kind every such gluing is a new class, proved in :class:`_Multiset`,
     so each is a result, with no class key and no canonical form.  On the
     triangle kind each comes with the :func:`class_key` its slice read off
-    per-pair glued neighbour sets (:func:`_run_unit`): a new key is a new
-    class, and a gluing under a repeated key is dropped only if a result
-    under that key has its canonical form.  The first gluing to reach a
+    per-pair glued neighbour masks and tuples (:func:`_run_unit`), colour
+    refinement run to a stable partition: a new key is a new class, and a
+    gluing under a repeated key is dropped only if a result under that key
+    has its canonical form.  The first gluing to reach a
     class is never skipped, so the result list and its provenance are
     those of the unreduced search.
 
@@ -708,7 +712,7 @@ def cylinder_search(
         admitted += 1
         kept = _without(multiset.faces, chain.from_iterable(pairing))
         ok = multiset.screen(pairing, kind)
-        # once per unit and (site pair, screened gluing): walls and spec, and glued sets
+        # once per unit and (site pair, screened gluing): walls and spec, and glued neighbours
         tables = [{g: (walls, CylinderSpec(kind, a, b, *gluings[g])) for g, walls in pair.items()}
                   for (a, b), pair in zip(pairing, ok)]
         sets = None if kind == "quad" else [

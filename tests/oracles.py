@@ -325,3 +325,24 @@ def rooting_count(m: PolyhedralMap, seed: str) -> int:
         total += sum(r[i:] + r[:i] == sizes for r in (sizes, sizes[::-1])
                      for i in range(len(sizes)))
     return total
+
+
+def refinement_tells_apart(g1, g2) -> bool:
+    """Whether colour refinement tells apart the graphs with neighbour lists
+    ``g1`` and ``g2``, exactly, with no hashing: each vertex starts with its
+    sorted counts ``|N(v) & N(w)|`` over its neighbours ``w``, and each round
+    pairs a colour with its neighbours' sorted colours.  Both graphs' colours
+    are renamed by one table, until the joint partition stops splitting."""
+    graphs = [[set(nv) for nv in g] for g in (g1, g2)]
+    colours = [[tuple(sorted(len(nv & g[w]) for w in nv)) for nv in g] for g in graphs]
+    cells = 0
+    while True:
+        names = {c: i for i, c in enumerate(sorted(set(colours[0]) | set(colours[1])))}
+        colours = [[names[c] for c in cs] for cs in colours]
+        if sorted(colours[0]) != sorted(colours[1]):
+            return True
+        if len(names) == cells:
+            return False
+        cells = len(names)
+        colours = [[(c, tuple(sorted(cs[w] for w in nv))) for c, nv in zip(cs, g)]
+                   for cs, g in zip(colours, graphs)]

@@ -164,12 +164,17 @@ SEARCH_OUTPUT_PINS = [
     # four chi=-2 bases, orientable and not: 844 classes
     (("cylinder-search", "--type", "3^5,4^2", "--chi", "-8", "--bases", "t1,t2,t3,n"),
      "21cc7daf3cf270de8aa3596683c493a574fccb94bfe5df8a021dbd2e541342af"),
+    # triangle units of single copies on the same four bases: 864 classes
+    (("cylinder-search", "--type", "3^7,4", "--chi", "-10", "--bases", "t1,t2,t3,n",
+      "--max-candidates", "12960", "--jobs", "2"),
+     "b9e5e9674e052bed814672ba4178126dc0745c878bbff467b2ec4fe1142769ce"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", SEARCH_OUTPUT_PINS,
                          ids=["census-chi-1", "census-chi-2", "quad-k1-jobs1", "quad-k1-jobs2",
-                              "quad-k123", "tri-k123-2592-jobs2", "quad-t123n"])
+                              "quad-k123", "tri-k123-2592-jobs2", "quad-t123n",
+                              "tri-t123n-12960-jobs2"])
 def test_search_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0

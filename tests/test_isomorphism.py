@@ -31,6 +31,7 @@ from oracles import (
     brute_force_automorphisms,
     brute_force_isomorphism,
     neighbor_oracle,
+    refinement_tells_apart,
 )
 
 
@@ -351,8 +352,14 @@ def test_canonical_data_is_computed_once_per_map(k1, monkeypatch):
 # class keys
 # ---------------------------------------------------------------------------
 
+def key_input(sets):
+    """``class_key``'s input for the graph with neighbour sets ``sets``: each
+    vertex's neighbour bit mask and sorted neighbour tuple."""
+    return [(sum(1 << w for w in nv), tuple(sorted(nv))) for nv in sets]
+
+
 def key_of(m):
-    return class_key([m.neighbors[v] for v in range(m.n)])
+    return class_key(key_input([m.neighbors[v] for v in range(m.n)]))
 
 
 @given(st.data())
@@ -371,7 +378,9 @@ def test_class_key_does_not_depend_on_the_hash_seed(k1, k1_quad):
             "from semap import PolyhedralMap\n"
             "from semap.isomorphism import class_key\n"
             "maps = [PolyhedralMap(faces, n=n) for n, faces in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([class_key([m.neighbors[v] for v in range(m.n)]) for m in maps]))\n")
+            "sets = [[m.neighbors[v] for v in range(m.n)] for m in maps]\n"
+            "print(json.dumps([class_key([(sum(1 << w for w in nv), tuple(sorted(nv))) for nv in s])\n"
+            "                  for s in sets]))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     arg = json.dumps([[m.n, m.faces] for m in maps])
@@ -382,6 +391,42 @@ def test_class_key_does_not_depend_on_the_hash_seed(k1, k1_quad):
                               capture_output=True, text=True, check=True)
         keys.append(json.loads(done.stdout))
     assert keys[0] == keys[1] == [key_of(m) for m in maps]
+
+
+def paths(*lengths):
+    """Neighbour sets of the disjoint union of paths with these vertex counts."""
+    sets, start = [], 0
+    for k in lengths:
+        sets += [{u for u in (i - 1, i + 1) if start <= u < start + k} for i in range(start, start + k)]
+        start += k
+    return sets
+
+
+def relabelled_key(sets, rng):
+    perm = list(range(len(sets)))
+    rng.shuffle(perm)
+    moved = [None] * len(sets)
+    for v, nv in enumerate(sets):
+        moved[perm[v]] = {perm[w] for w in nv}
+    return class_key(key_input(moved))
+
+
+def test_class_key_refines_until_stable():
+    # P10+P12 and P11+P11 have the same balls of radius 4 about their vertices, in the
+    # same numbers: four rounds of refinement cannot tell them apart, a stable partition
+    # can (the middle of P11 sees two vertices at distance 4 from an end, P12's one)
+    rng = random.Random(30)
+    a, b = paths(10, 12), paths(11, 11)
+    assert refinement_tells_apart(a, b)
+    assert class_key(key_input(a)) != class_key(key_input(b))
+    for sets in (a, b):
+        assert relabelled_key(sets, rng) == class_key(key_input(sets))
+    # meet counts up to 64 and degrees up to 65: no table of counts stops short of them
+    complete = [set(range(66)) - {v} for v in range(66)]
+    one_less = [nv - {1 - v} if v < 2 else nv for v, nv in enumerate(complete)]
+    for sets in (complete, one_less):
+        assert relabelled_key(sets, rng) == class_key(key_input(sets))
+    assert class_key(key_input(complete)) != class_key(key_input(one_less))
 
 
 # ---------------------------------------------------------------------------

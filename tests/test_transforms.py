@@ -4,7 +4,7 @@ from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
-from oracles import is_covering
+from oracles import is_covering, refinement_tells_apart
 
 from semap import (
     CoveringWitness,
@@ -83,6 +83,21 @@ def test_double_cover_refuses_orientable_input(tetrahedron, t1):
 def test_verify_covering_identity(tetrahedron):
     witness = CoveringWitness(vertex_map={v: v for v in range(4)}, fold=1)
     assert verify_covering(tetrahedron, tetrahedron, witness)
+
+
+def test_verify_covering_refuses_two_faces_folded_onto_one_at_a_vertex(tetrahedron):
+    # two tetrahedron sheets, with the second sheet's (5, 6, 7) replaced by the
+    # mixed-sheet (5, 6, 3): every base vertex still has two preimages and every cover
+    # face still goes onto a base face, but at 3 both (1, 2, 3) and (5, 6, 3) go onto
+    # the base's (1, 2, 3); only the check at each vertex sees it
+    sheets = [tuple(v + 4 * s for v in f) for s in (0, 1) for f in tetrahedron.faces]
+    faces = [(5, 6, 3) if sorted(f) == [5, 6, 7] else f for f in sheets]
+    assert faces != sheets
+    cover = PolyhedralMap(faces, n=8)
+    witness = CoveringWitness(vertex_map={v: v % 4 for v in range(8)}, fold=2)
+    assert verify_covering(PolyhedralMap(sheets, n=8), tetrahedron, witness)
+    assert not verify_covering(cover, tetrahedron, witness)
+    assert not is_covering(cover.faces, tetrahedron.faces, witness.vertex_map, 2)
 
 
 def test_verify_covering_rejects_wrong_fold_or_mangled_map(k1):
@@ -397,7 +412,8 @@ def test_no_flags_are_built_per_gluing(k1, monkeypatch):
     shared = {k for k, c in counts.items() if c > 1}
     assert forms[0] is base
     assert len(forms) - 1 == sum(counts[k] for k in shared) < 50
-    assert all(key([m.neighbors[v] for v in range(m.n)]) in shared for m in forms[1:])
+    assert all(key([(sum(1 << w for w in m.neighbors[v]), tuple(sorted(m.neighbors[v])))
+                    for v in range(m.n)]) in shared for m in forms[1:])
     # and one flag pass per call on the public path (a fresh map: nothing memoised)
     for fn in (canonical_form, surface_profile, validate):
         fresh = k1.relabel(list(range(k1.n)))
@@ -438,6 +454,44 @@ def test_key_collisions_fall_back_on_canonical_forms(k1, k1_tri, monkeypatch):
     assert [(m.name, m.faces) for m in maps] == [(m.name, m.faces) for m in k1_tri[0]]
     assert notes == k1_tri[1]
     assert len(forms) == len({id(m) for m in forms}) == stats.built
+
+
+@pytest.mark.parametrize("names, budget, classes, shared",
+                         [(("k1", "k2", "k3"), 2592, 2072, 0), (("k1",), 10368, 4160, 0),
+                          (("k3",), None, 28288, 36)], ids=["k123-2592", "k1-10368", "k3"])
+def test_keys_repeat_only_where_colour_refinement_cannot_split_the_graphs(
+        request, monkeypatch, names, budget, classes, shared):
+    # a key is seen twice only on vertex graphs that exact colour refinement cannot tell
+    # apart, and canonical forms are computed only for the (fresh) bases, for their merge
+    # and symmetry groups, and for the gluings under a repeated key.  A weaker key costs
+    # forms and changes no result: a sum of hash((c,)) over the meet counts repeated keys
+    # on 16 gluings of K1 here
+    import sys
+
+    iso, transforms = sys.modules["semap.isomorphism"], sys.modules["semap.transforms"]
+    forms, seen, compute, key = [], {}, iso._compute_canonical, transforms.class_key
+    bases = [b.relabel(list(range(b.n))) for b in map(request.getfixturevalue, names)]
+
+    def counting_compute(m):
+        forms.append(m)
+        return compute(m)
+
+    def recording_key(neighbours):
+        k = key(neighbours)
+        seen.setdefault(k, []).append([ws for _, ws in neighbours])
+        return k
+
+    monkeypatch.setattr(iso, "_compute_canonical", counting_compute)
+    monkeypatch.setattr(transforms, "class_key", recording_key)
+    _, _, stats = cylinder_search(bases, T37, -10, max_candidates=budget)
+    assert stats.exhausted == (budget is None) and stats.built == stats.classes == classes
+    assert sum(map(len, seen.values())) == stats.built
+    repeated = [graphs for graphs in seen.values() if len(graphs) > 1]
+    assert sum(map(len, repeated)) == shared
+    assert len(forms) == len(bases) + shared
+    assert all(m is b for m, b in zip(forms, bases))
+    for graphs in repeated:
+        assert not any(refinement_tells_apart(a, b) for a, b in combinations(graphs, 2))
 
 
 def test_isomorphic_bases_are_merged(k1, k1_quad):
@@ -569,7 +623,9 @@ def test_keys_read_the_vertex_graph_of_the_built_map(request, monkeypatch, names
     for neighbours, choice in zip(keyed, choices):
         specs = [CylinderSpec("tri", a, b, *gluings[g]) for (a, b), g in zip(pairing, choice)]
         built = PolyhedralMap(_apply_bundle(multiset.faces, specs), n=multiset.n)
-        assert neighbours == [built.neighbors[v] for v in range(built.n)], specs
+        expected = [built.neighbors[v] for v in range(built.n)]
+        assert [ws for _, ws in neighbours] == [tuple(sorted(nv)) for nv in expected], specs
+        assert [mask for mask, _ in neighbours] == [sum(1 << w for w in nv) for nv in expected]
 
 
 def _unreduced_forms(bases, target, chi, kind, max_candidates):
